@@ -1,16 +1,15 @@
-//! Kernel benchmarks: the simulated `maxF` kernel under the 2x2 and 3x1
+//! Kernel benchmarks: one GPU's pruned λ-slab scan under the 2x2 and 3x1
 //! schemes, the incremental combination scanner, the staged reductions, and
 //! the modeled-profile evaluation rate at paper scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use multihit_core::combin::binomial;
-use multihit_core::greedy::ComboScanner;
+use multihit_core::greedy::{ComboScanner, ScanStats};
 use multihit_core::kernel;
 use multihit_core::reduce::{gpu_reduce, tree_reduce};
 use multihit_core::schemes::Scheme4;
 use multihit_core::weight::{Alpha, Scored};
 use multihit_data::synth::{generate, CohortSpec};
-use multihit_gpusim::exec::run_maxf4;
 use multihit_gpusim::profile::{kernel_levels4, profile_partitions};
 use multihit_gpusim::{CostModel, GpuSpec};
 
@@ -26,14 +25,29 @@ fn cohort(g: usize) -> (multihit_core::BitMatrix, multihit_core::BitMatrix) {
     (c.tumor, c.normal)
 }
 
-fn bench_maxf_schemes(c: &mut Criterion) {
+fn bench_slab_scans(c: &mut Criterion) {
+    // One GPU's share of a 4-GPU EA split, scanned the way cluster ranks
+    // scan it: one pruned scanner re-seeked across the slab's colex runs.
     let (t, n) = cohort(28);
-    let mut grp = c.benchmark_group("maxf4_full_range_g28");
+    let mut grp = c.benchmark_group("slab_scan_pruned_g28");
     grp.sample_size(20);
     for scheme in [Scheme4::TwoXTwo, Scheme4::ThreeXOne] {
-        let threads = scheme.thread_count(28);
+        let parts = multihit_cluster::sched::schedule_ea_fast(
+            &multihit_core::sweep::levels_scheme4(scheme, 28),
+            4,
+        );
+        let runs = scheme.colex_runs(parts[0].lo, parts[0].hi, 28);
         grp.bench_function(scheme.name(), |b| {
-            b.iter(|| run_maxf4(&t, &n, Alpha::PAPER, scheme, 0, threads, 512).best)
+            b.iter(|| {
+                let mut stats = ScanStats::default();
+                let mut sc = ComboScanner::<4>::new(&t, &n, None, Alpha::PAPER, runs[0].start);
+                let mut best = Scored::NEG_INFINITY;
+                for r in &runs {
+                    sc.reseek(r.start);
+                    best = sc.scan_pruned(r.end - r.start, best, None, &mut stats);
+                }
+                best
+            })
         });
     }
     grp.finish();
@@ -136,7 +150,7 @@ fn bench_packed_vs_byte_matrix(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_maxf_schemes,
+    bench_slab_scans,
     bench_popcount_kernels,
     bench_scanner,
     bench_reductions,

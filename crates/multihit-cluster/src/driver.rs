@@ -1,10 +1,11 @@
 //! The distributed greedy driver, in two modes:
 //!
-//! * [`distributed_discover4`] — **functional**: real rank threads, real
-//!   simulated-GPU kernel execution, real binomial-tree reduction of one
-//!   record per rank, BitSplicing between iterations. Produces exactly the
-//!   combinations the single-process reference produces (tested), at any
-//!   cluster shape.
+//! * [`distributed_discover4`] — **functional**: real rank threads, each
+//!   scoring its GPUs' λ-slabs with the branch-and-bound [`ComboScanner`]
+//!   (a slab is a list of ascending colex runs, [`Scheme4::colex_runs`]),
+//!   real binomial-tree reduction of one record per rank, BitSplicing
+//!   between iterations. Produces exactly the combinations the
+//!   single-process reference produces (tested), at any cluster shape.
 //! * [`model_run`] — **modeled**: the same schedule and communication
 //!   pattern priced by the gpusim cost model and the α–β comm model, usable
 //!   at paper scale (`G = 19411`, 6000 GPUs) where functional execution
@@ -17,17 +18,17 @@ use crate::sched::{rebalance_join, schedule_ea_fast, schedule_ed, validate_cover
 use crate::topology::ClusterShape;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::combin::binomial;
-use multihit_core::frontier::{self, Frontier};
+use multihit_core::frontier::{self, Frontier, TopK};
+use multihit_core::greedy::{ComboScanner, ScanStats};
 use multihit_core::kernelize::{kernelize, ReductionCert};
 use multihit_core::obs::Obs;
-use multihit_core::par::{default_workers, par_map_indexed};
+use multihit_core::par::{default_workers, par_map_indexed, StealStats};
 use multihit_core::reduce::{fold_partials, merge_top_k};
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::levels_scheme4;
 use multihit_core::weight::{Alpha, Scored};
 use multihit_gpusim::counters::{apply_jitter, record_run_metrics, run_metrics};
 use multihit_gpusim::device::NodeSpec;
-use multihit_gpusim::exec::{run_maxf4, run_maxf4_topk};
 use multihit_gpusim::profile::{kernel_levels4, prefetch_depth4, profile_partitions};
 use multihit_gpusim::{CostModel, GpuCost};
 use std::collections::BTreeSet;
@@ -139,8 +140,6 @@ pub struct DistributedConfig {
     pub scheduler: SchedulerKind,
     /// TP weight α.
     pub alpha: Alpha,
-    /// CUDA block size for the block reduction.
-    pub block_size: usize,
     /// Cap on discovered combinations (0 = run to full cover).
     pub max_combinations: usize,
     /// Lazy-greedy frontier size per rank (0 disables the frontier; the
@@ -159,7 +158,6 @@ impl Default for DistributedConfig {
             scheme: Scheme4::ThreeXOne,
             scheduler: SchedulerKind::EquiArea,
             alpha: Alpha::PAPER,
-            block_size: 512,
             max_combinations: 0,
             frontier_k: frontier::DEFAULT_FRONTIER_K,
             kernelize: false,
@@ -174,8 +172,12 @@ pub struct DistIteration {
     pub best: Scored<4>,
     /// Tumor samples still uncovered after splicing.
     pub remaining: u32,
-    /// Combinations evaluated per GPU (workload audit).
+    /// Combinations each GPU actually scored (the rest of its slab was
+    /// pruned; 0 on every GPU in a frontier-hit iteration).
     pub combos_per_gpu: Vec<u64>,
+    /// Combinations assigned to each GPU: its λ-slab's area, or 0 when the
+    /// kernels never ran. `combos_per_gpu[i] <= assigned_per_gpu[i]`.
+    pub assigned_per_gpu: Vec<u64>,
 }
 
 /// Result of a functional distributed run.
@@ -261,10 +263,6 @@ fn de_scored_list(b: &[u8]) -> Vec<Scored<4>> {
 /// visits every global frontier member — any combination outside the union
 /// scored at most `floor` at build time and (numerator monotonicity, see
 /// [`multihit_core::frontier`]) at most that now.
-/// What each rank returns from a top-K kernel round: the broadcast
-/// `(winner, floor)` verdict, per-GPU combo counts, and its retained shard.
-type TopKRankResult = ((Scored<4>, u64), Vec<u64>, Vec<Scored<4>>);
-
 struct DistFrontier {
     /// Per-**original**-rank retained lists; empty for ranks that retain
     /// nothing (e.g. ranks that have died since the build).
@@ -274,6 +272,115 @@ struct DistFrontier {
     /// The shards jointly hold the entire enumeration, so every rescore
     /// round is a hit by construction.
     complete: bool,
+}
+
+/// One GPU's pruned scan of its λ-slab.
+struct SlabScan {
+    /// The slab's argmax (the head of `shard` in top-K rounds).
+    best: Scored<4>,
+    /// The slab's top-`frontier_k` (empty when the frontier is off).
+    shard: Vec<Scored<4>>,
+    /// Combinations in the slab (its area).
+    assigned: u64,
+    /// `scored + pruned_combos == assigned`; `block_sweeps` from the scanner.
+    stats: ScanStats,
+}
+
+/// Score GPU slab `p` with [`ComboScanner`] and branch-and-bound pruning.
+///
+/// The slab is its ascending colex runs ([`Scheme4::colex_runs`]); one
+/// scanner is re-seeked per run, threading the local best (or top-K)
+/// through the runs. Every incumbent is colex-earlier than the run being
+/// scanned, so the scanner's cut rules stay exact: the best and the shard
+/// equal the exhaustive ones over the slab. No bound is shared with other
+/// GPUs, so the scored count depends on the slab alone.
+fn scan_slab(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+    p: Partition,
+) -> SlabScan {
+    let runs = cfg.scheme.colex_runs(p.lo, p.hi, tumor.n_genes() as u32);
+    let mut stats = ScanStats::default();
+    let mut best = Scored::NEG_INFINITY;
+    let mut acc = (cfg.frontier_k > 0).then(|| TopK::new(cfg.frontier_k));
+    let mut scanner: Option<ComboScanner<4>> = None;
+    for run in &runs {
+        let sc = match scanner.as_mut() {
+            Some(sc) => {
+                sc.reseek(run.start);
+                sc
+            }
+            None => scanner.insert(ComboScanner::new(tumor, normal, None, cfg.alpha, run.start)),
+        };
+        let n = run.end - run.start;
+        match acc.as_mut() {
+            Some(acc) => sc.scan_topk(n, acc, true, None, &mut stats),
+            None => best = sc.scan_pruned(n, best, None, &mut stats),
+        }
+    }
+    stats.block_sweeps = scanner.as_ref().map_or(0, ComboScanner::block_sweeps);
+    let shard = acc.map(TopK::into_sorted).unwrap_or_default();
+    if let Some(&head) = shard.first() {
+        best = head;
+    }
+    let assigned = runs.iter().map(|r| r.end - r.start).sum();
+    debug_assert_eq!(stats.scored + stats.pruned_combos, assigned);
+    SlabScan {
+        best,
+        shard,
+        assigned,
+        stats,
+    }
+}
+
+/// One rank's kernel round: its GPUs' slabs scanned through the
+/// work-stealing dispatcher, so a heavy slab overlaps the light ones.
+struct RankScan {
+    /// The rank's argmax.
+    best: Scored<4>,
+    /// The merged top-K of the rank's GPU shards (empty with no frontier).
+    list: Vec<Scored<4>>,
+    /// Combinations each GPU scored.
+    scored: Vec<u64>,
+    /// Combinations assigned to each GPU.
+    assigned: Vec<u64>,
+    /// Combinations the rank's GPUs skipped inside pruned subtrees.
+    pruned: u64,
+    /// Block-kernel invocations of the rank's scanners.
+    block_sweeps: u64,
+    /// GPU dispatch accounting.
+    steal: StealStats,
+}
+
+fn scan_rank(
+    tumor: &BitMatrix,
+    normal: &BitMatrix,
+    cfg: &DistributedConfig,
+    slabs: &[Partition],
+) -> RankScan {
+    let (gpus, steal) = par_map_indexed(slabs.len(), default_workers(), |i| {
+        scan_slab(tumor, normal, cfg, slabs[i])
+    });
+    let mut rank = RankScan {
+        best: fold_partials(gpus.iter().map(|s| s.best)),
+        list: Vec::new(),
+        scored: Vec::with_capacity(gpus.len()),
+        assigned: Vec::with_capacity(gpus.len()),
+        pruned: 0,
+        block_sweeps: 0,
+        steal,
+    };
+    let mut shards = Vec::with_capacity(gpus.len());
+    for s in gpus {
+        rank.scored.push(s.stats.scored);
+        rank.assigned.push(s.assigned);
+        rank.pruned += s.stats.pruned_combos;
+        rank.block_sweeps += s.stats.block_sweeps;
+        shards.push(s.shard);
+    }
+    rank.list = merge_top_k(&shards, cfg.frontier_k);
+    rank
 }
 
 /// Kernelize the instance once on rank 0 and broadcast the serialized
@@ -355,6 +462,7 @@ fn unmap_dist_result(r: DistResult, cert: &ReductionCert, alpha: Alpha) -> DistR
                 best: cert.unmap_scored(it.best, alpha),
                 remaining: it.remaining + zt,
                 combos_per_gpu: it.combos_per_gpu,
+                assigned_per_gpu: it.assigned_per_gpu,
             })
             .collect(),
         uncovered: r.uncovered + zt,
@@ -374,11 +482,14 @@ fn stalled_dist_result(tumor: &BitMatrix) -> DistResult {
 
 /// Run 4-hit greedy discovery functionally across simulated ranks and GPUs.
 ///
-/// Every rank executes the kernels of its node's GPUs (via
-/// [`multihit_gpusim::exec`]), reduces locally, then participates in the
-/// binomial-tree reduction of one 32-byte record to rank 0; rank 0
+/// Every rank scores the λ-slabs of its node's GPUs with the pruned
+/// [`ComboScanner`], one scanner per GPU walking the slab's ascending colex
+/// runs ([`Scheme4::colex_runs`]) with a GPU-local bound; it reduces
+/// locally, then participates in the binomial-tree reduction of one 32-byte
+/// record (or, with the frontier on, its top-K shard) to rank 0; rank 0
 /// broadcasts the winner and every rank splices covered samples — the exact
-/// communication structure of §III-E.
+/// communication structure of §III-E. No bound is shared across GPUs or
+/// ranks, so [`DistIteration::combos_per_gpu`] is deterministic.
 #[must_use]
 pub fn distributed_discover4(
     tumor: &BitMatrix,
@@ -479,122 +590,47 @@ pub fn distributed_discover4_obs(
             }
         }
 
-        let (best, combos_per_gpu) = if frontier_hit {
+        let (best, combos_per_gpu, assigned_per_gpu) = if frontier_hit {
             // The kernels never ran: zero combos on every GPU this round.
-            (frontier_best, vec![0u64; n_gpus])
-        } else if k > 0 {
-            // Full kernel round, retaining each rank's top-K shard: the
-            // shards reduce (binomial tree, count-prefixed records) to the
-            // global top-K at rank 0, whose head is the winner and whose
-            // K-th score is the floor broadcast for later rescore rounds.
-            let parts = cfg.scheduler.partitions_obs(cfg.scheme, g, n_gpus, obs);
-            let rank_results: Vec<TopKRankResult> = run_ranks(cfg.shape.nodes, |ctx| {
-                let busy_start = Instant::now();
-                let gpus = cfg.shape.gpus_of_rank(ctx.rank);
-                let first_gpu = gpus.start;
-                let (outs, steal) = par_map_indexed(gpus.len(), default_workers(), |i| {
-                    let p = parts[first_gpu + i];
-                    run_maxf4_topk(
-                        tumor_ref,
-                        normal,
-                        cfg.alpha,
-                        cfg.scheme,
-                        p.lo,
-                        p.hi,
-                        cfg.block_size,
-                        k,
-                    )
-                });
-                let combos: Vec<u64> = outs.iter().map(|(o, _)| o.profile.combos).collect();
-                let sweeps: u64 = outs.iter().map(|(o, _)| o.block_sweeps).sum();
-                let shards: Vec<Vec<Scored<4>>> = outs.into_iter().map(|(_, s)| s).collect();
-                let local_list = merge_top_k(&shards, k);
-                let busy_ns = elapsed_ns(busy_start);
-                let comm_start = Instant::now();
-                let root_list = ctx.reduce_to_root(
-                    local_list.clone(),
-                    |a, b| merge_top_k(&[a, b], k),
-                    ser_scored_list,
-                    de_scored_list,
-                );
-                let verdict = root_list.map(|l| {
-                    let fr = Frontier::new(l, total_combos);
-                    ser_scored_floor(&(fr.best(), fr.floor()))
-                });
-                let verdict_bytes = ctx.broadcast(verdict);
-                let comm_ns = elapsed_ns(comm_start);
-                let (winner, floor) = de_scored_floor(&verdict_bytes);
-                if obs.is_enabled() {
-                    obs.point(
-                        "rank_exec",
-                        &[
-                            ("iter", iter_idx.into()),
-                            ("rank", ctx.rank.into()),
-                            ("busy_ns", busy_ns.into()),
-                            ("comm_ns", comm_ns.into()),
-                            ("combos", combos.iter().sum::<u64>().into()),
-                            ("steal_blocks", steal.blocks.into()),
-                            ("steals", steal.steals.into()),
-                            ("block_sweeps", sweeps.into()),
-                        ],
-                    );
-                    obs.counter_add("dist.rank_busy_ns", busy_ns);
-                    obs.counter_add("dist.rank_comm_ns", comm_ns);
-                    obs.counter_add("dist.steal_blocks", steal.blocks);
-                    obs.counter_add("dist.steals", steal.steals);
-                    obs.counter_add("dist.block_sweeps", sweeps);
-                }
-                ((winner, floor), combos, local_list)
-            });
-            let (best, floor) = rank_results[0].0;
-            debug_assert!(rank_results.iter().all(|(v, _, _)| *v == (best, floor)));
-            frontier_state = Some(DistFrontier {
-                lists: rank_results.iter().map(|(_, _, l)| l.clone()).collect(),
-                floor,
-                complete: total_combos <= k as u64,
-            });
-            (
-                best,
-                rank_results
-                    .iter()
-                    .flat_map(|(_, c, _)| c.iter().copied())
-                    .collect(),
-            )
+            (frontier_best, vec![0u64; n_gpus], vec![0u64; n_gpus])
         } else {
             let parts = cfg.scheduler.partitions_obs(cfg.scheme, g, n_gpus, obs);
-            // One OS thread per rank; each executes its GPUs' λ-ranges.
-            let rank_results: Vec<(Option<Scored<4>>, Vec<u64>)> =
+            // One OS thread per rank; each scans its GPUs' λ-slabs.
+            let rank_results: Vec<((Scored<4>, u64), RankScan)> =
                 run_ranks(cfg.shape.nodes, |ctx| {
                     let busy_start = Instant::now();
-                    // The rank's GPUs execute via the work-stealing dispatcher: a
-                    // heavy λ-partition overlaps the light ones instead of
-                    // serializing behind a fixed GPU order.
-                    let gpus = cfg.shape.gpus_of_rank(ctx.rank);
-                    let first_gpu = gpus.start;
-                    let (outs, steal) = par_map_indexed(gpus.len(), default_workers(), |i| {
-                        let p = parts[first_gpu + i];
-                        run_maxf4(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                        )
-                    });
-                    let combos: Vec<u64> = outs.iter().map(|o| o.profile.combos).collect();
-                    let sweeps: u64 = outs.iter().map(|o| o.block_sweeps).sum();
-                    let local = fold_partials(outs.into_iter().map(|o| o.best));
+                    let scan = scan_rank(
+                        tumor_ref,
+                        normal,
+                        cfg,
+                        &parts[cfg.shape.gpus_of_rank(ctx.rank)],
+                    );
                     let busy_ns = elapsed_ns(busy_start);
                     let comm_start = Instant::now();
-                    let root = ctx.reduce_to_root(local, Scored::max_det, ser_scored, de_scored);
-                    // Rank 0 broadcasts the winner so every rank splices alike
-                    // (here we only need it back on the driver, but the exchange
-                    // exercises the real pattern).
-                    let winner_bytes = ctx.broadcast(root.as_ref().map(ser_scored));
+                    // With a frontier the rank shards reduce (binomial tree,
+                    // count-prefixed records) to the global top-K at rank 0,
+                    // whose head is the winner and whose K-th score is the
+                    // floor broadcast for later rescore rounds. Without one,
+                    // the single 32-byte winner reduces. Rank 0 broadcasts
+                    // the verdict so every rank splices alike.
+                    let verdict = if k > 0 {
+                        let root_list = ctx.reduce_to_root(
+                            scan.list.clone(),
+                            |a, b| merge_top_k(&[a, b], k),
+                            ser_scored_list,
+                            de_scored_list,
+                        );
+                        let verdict = root_list.map(|l| {
+                            let fr = Frontier::new(l, total_combos);
+                            ser_scored_floor(&(fr.best(), fr.floor()))
+                        });
+                        de_scored_floor(&ctx.broadcast(verdict))
+                    } else {
+                        let root =
+                            ctx.reduce_to_root(scan.best, Scored::max_det, ser_scored, de_scored);
+                        (de_scored(&ctx.broadcast(root.as_ref().map(ser_scored))), 0)
+                    };
                     let comm_ns = elapsed_ns(comm_start);
-                    let winner = de_scored(&winner_bytes);
                     if obs.is_enabled() {
                         obs.point(
                             "rank_exec",
@@ -603,31 +639,39 @@ pub fn distributed_discover4_obs(
                                 ("rank", ctx.rank.into()),
                                 ("busy_ns", busy_ns.into()),
                                 ("comm_ns", comm_ns.into()),
-                                ("combos", combos.iter().sum::<u64>().into()),
-                                ("steal_blocks", steal.blocks.into()),
-                                ("steals", steal.steals.into()),
-                                ("block_sweeps", sweeps.into()),
+                                ("combos", scan.scored.iter().sum::<u64>().into()),
+                                ("pruned", scan.pruned.into()),
+                                ("steal_blocks", scan.steal.blocks.into()),
+                                ("steals", scan.steal.steals.into()),
+                                ("block_sweeps", scan.block_sweeps.into()),
                             ],
                         );
                         obs.counter_add("dist.rank_busy_ns", busy_ns);
                         obs.counter_add("dist.rank_comm_ns", comm_ns);
-                        obs.counter_add("dist.steal_blocks", steal.blocks);
-                        obs.counter_add("dist.steals", steal.steals);
-                        obs.counter_add("dist.block_sweeps", sweeps);
+                        obs.counter_add("dist.steal_blocks", scan.steal.blocks);
+                        obs.counter_add("dist.steals", scan.steal.steals);
+                        obs.counter_add("dist.block_sweeps", scan.block_sweeps);
+                        obs.counter_add("dist.pruned_combos", scan.pruned);
                     }
-                    (Some(winner), combos)
+                    (verdict, scan)
                 });
-
-            let best = rank_results[0].0.expect("root result");
-            // All ranks agreed on the winner.
-            debug_assert!(rank_results.iter().all(|(w, _)| *w == Some(best)));
-            (
-                best,
-                rank_results
-                    .iter()
-                    .flat_map(|(_, c)| c.iter().copied())
-                    .collect(),
-            )
+            let (best, floor) = rank_results[0].0;
+            // All ranks agreed on the verdict.
+            debug_assert!(rank_results.iter().all(|(v, _)| *v == (best, floor)));
+            let (mut lists, mut scored, mut assigned) = (Vec::new(), Vec::new(), Vec::new());
+            for (_, r) in rank_results {
+                scored.extend(r.scored);
+                assigned.extend(r.assigned);
+                lists.push(r.list);
+            }
+            if k > 0 {
+                frontier_state = Some(DistFrontier {
+                    lists,
+                    floor,
+                    complete: total_combos <= k as u64,
+                });
+            }
+            (best, scored, assigned)
         };
         if best.tp == 0 {
             break;
@@ -644,6 +688,7 @@ pub fn distributed_discover4_obs(
             best,
             remaining,
             combos_per_gpu,
+            assigned_per_gpu,
         });
         if obs.is_enabled() {
             obs.point(
@@ -680,8 +725,8 @@ pub fn distributed_discover4_obs(
 pub struct RecoveryStats {
     /// Iteration attempts that had to be re-executed.
     pub re_executed_iterations: u64,
-    /// Combinations evaluated on attempts whose results were discarded
-    /// (the re-executed λ-work).
+    /// Combinations scored on attempts whose results were discarded (the
+    /// re-executed λ-work).
     pub re_executed_combos: u64,
     /// Ranks declared dead, by original id, in death order.
     pub dead_ranks: Vec<usize>,
@@ -714,7 +759,10 @@ enum RankOutcome {
         /// This rank's retained top-K shard (empty outside top-K kernel
         /// rounds).
         list: Vec<Scored<4>>,
-        combos: Vec<u64>,
+        /// Combinations each of the rank's GPUs scored.
+        scored: Vec<u64>,
+        /// Combinations assigned to each of the rank's GPUs.
+        assigned: Vec<u64>,
         stats: FtStats,
     },
     /// The rank was killed by the fault plan (analog of a process death the
@@ -724,7 +772,7 @@ enum RankOutcome {
     /// the ranks it learned are gone.
     Aborted {
         dead: Vec<usize>,
-        combos: Vec<u64>,
+        scored: Vec<u64>,
         stats: FtStats,
     },
 }
@@ -992,7 +1040,7 @@ pub fn distributed_discover4_ft(
         // gone) and falls back to the full kernels.
         let mut try_frontier = k > 0 && frontier_state.is_some();
         let mut frontier_hit = false;
-        let (best, combos_per_gpu) = loop {
+        let (best, combos_per_gpu, assigned_per_gpu) = loop {
             let n_ranks = alive.len();
             let n_gpus = n_ranks * cfg.shape.gpus_per_node;
             let rescore_round = try_frontier;
@@ -1019,58 +1067,35 @@ pub fn distributed_discover4_ft(
                     }
                 }
                 let busy_start = Instant::now();
-                let mut local = Scored::NEG_INFINITY;
-                let mut local_list: Vec<Scored<4>> = Vec::new();
-                let mut combos = Vec::new();
-                let mut sweeps = 0u64;
-                if rescore_round {
+                let gpus = cfg.shape.gpus_per_node;
+                let scan = if rescore_round {
                     // Rescore the retained shard instead of scanning; the
                     // kernels never run, so every GPU audits zero combos.
+                    let mut best = Scored::NEG_INFINITY;
                     for e in &lists_ref.expect("live frontier")[orig] {
-                        local = local.max_det(frontier::rescore_combo(
+                        best = best.max_det(frontier::rescore_combo(
                             tumor_ref, normal, None, &e.genes, cfg.alpha,
                         ));
                     }
-                    combos = vec![0u64; cfg.shape.gpus_per_node];
-                } else if k > 0 {
-                    let mut shards = Vec::new();
-                    for slot in 0..cfg.shape.gpus_per_node {
-                        let p = parts[ctx.rank * cfg.shape.gpus_per_node + slot];
-                        let (out, shard) = run_maxf4_topk(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                            k,
-                        );
-                        combos.push(out.profile.combos);
-                        sweeps += out.block_sweeps;
-                        local = local.max_det(out.best);
-                        shards.push(shard);
+                    RankScan {
+                        best,
+                        list: Vec::new(),
+                        scored: vec![0; gpus],
+                        assigned: vec![0; gpus],
+                        pruned: 0,
+                        block_sweeps: 0,
+                        steal: StealStats::default(),
                     }
-                    local_list = merge_top_k(&shards, k);
                 } else {
-                    for slot in 0..cfg.shape.gpus_per_node {
-                        let p = parts[ctx.rank * cfg.shape.gpus_per_node + slot];
-                        let out = run_maxf4(
-                            tumor_ref,
-                            normal,
-                            cfg.alpha,
-                            cfg.scheme,
-                            p.lo,
-                            p.hi,
-                            cfg.block_size,
-                        );
-                        combos.push(out.profile.combos);
-                        sweeps += out.block_sweeps;
-                        local = local.max_det(out.best);
-                    }
-                }
+                    scan_rank(
+                        tumor_ref,
+                        normal,
+                        cfg,
+                        &parts[ctx.rank * gpus..(ctx.rank + 1) * gpus],
+                    )
+                };
                 let busy_ns = elapsed_ns(busy_start);
-                let combos_total: u64 = combos.iter().sum();
+                let scored_total: u64 = scan.scored.iter().sum();
                 if let Some(f) = faults {
                     if let Some(factor) = f.straggler_factor(orig) {
                         let delay = std::time::Duration::from_nanos(
@@ -1087,38 +1112,39 @@ pub fn distributed_discover4_ft(
                 // head is the winner, the merged K-th the floor); every
                 // other round reduces the single 32-byte winner with a zero
                 // floor. Either way the verdict broadcast is (winner, floor).
-                let (root_verdict, red_dead, red_failed, red_parent_dead) =
-                    if !rescore_round && k > 0 {
-                        let red = ft.reduce_to_root(
-                            local_list.clone(),
-                            |a, b| merge_top_k(&[a, b], k),
-                            ser_scored_list,
-                            de_scored_list,
-                        );
-                        (
-                            red.root_value.map(|l| {
-                                let fr = Frontier::new(l, total_combos);
-                                (fr.best(), fr.floor())
-                            }),
-                            red.dead,
-                            red.failed,
-                            red.parent_dead,
-                        )
-                    } else {
-                        let red = ft.reduce_to_root(local, Scored::max_det, ser_scored, de_scored);
-                        (
-                            red.root_value.map(|w| (w, 0u64)),
-                            red.dead,
-                            red.failed,
-                            red.parent_dead,
-                        )
-                    };
+                let (root_verdict, red_dead, red_failed, red_parent_dead) = if !rescore_round
+                    && k > 0
+                {
+                    let red = ft.reduce_to_root(
+                        scan.list.clone(),
+                        |a, b| merge_top_k(&[a, b], k),
+                        ser_scored_list,
+                        de_scored_list,
+                    );
+                    (
+                        red.root_value.map(|l| {
+                            let fr = Frontier::new(l, total_combos);
+                            (fr.best(), fr.floor())
+                        }),
+                        red.dead,
+                        red.failed,
+                        red.parent_dead,
+                    )
+                } else {
+                    let red = ft.reduce_to_root(scan.best, Scored::max_det, ser_scored, de_scored);
+                    (
+                        red.root_value.map(|w| (w, 0u64)),
+                        red.dead,
+                        red.failed,
+                        red.parent_dead,
+                    )
+                };
                 let to_orig =
                     |d: &BTreeSet<usize>| d.iter().map(|&c| alive_ref[c]).collect::<Vec<_>>();
                 if red_parent_dead {
                     return RankOutcome::Aborted {
                         dead: to_orig(&red_dead),
-                        combos,
+                        scored: scan.scored,
                         stats: ft.stats,
                     };
                 }
@@ -1137,14 +1163,15 @@ pub fn distributed_discover4_ft(
                         RankOutcome::Done {
                             winner,
                             floor,
-                            list: local_list,
-                            combos,
+                            list: scan.list,
+                            scored: scan.scored,
+                            assigned: scan.assigned,
                             stats: ft.stats,
                         }
                     }
                     Ok((BcastMsg::Value(_), suspects)) => RankOutcome::Aborted {
                         dead: to_orig(&suspects),
-                        combos,
+                        scored: scan.scored,
                         stats: ft.stats,
                     },
                     Ok((BcastMsg::Abort(dead), suspects)) => {
@@ -1152,7 +1179,7 @@ pub fn distributed_discover4_ft(
                         all.extend(suspects.iter().copied());
                         RankOutcome::Aborted {
                             dead: to_orig(&all),
-                            combos,
+                            scored: scan.scored,
                             stats: ft.stats,
                         }
                     }
@@ -1161,7 +1188,7 @@ pub fn distributed_discover4_ft(
                     // iteration barrier): abort the attempt.
                     Ok((BcastMsg::Join { .. }, _)) | Err(_) => RankOutcome::Aborted {
                         dead: to_orig(&red_dead),
-                        combos,
+                        scored: scan.scored,
                         stats: ft.stats,
                     },
                 };
@@ -1173,12 +1200,14 @@ pub fn distributed_discover4_ft(
                             ("rank", orig.into()),
                             ("busy_ns", busy_ns.into()),
                             ("comm_ns", elapsed_ns(comm_start).into()),
-                            ("combos", combos_total.into()),
-                            ("block_sweeps", sweeps.into()),
+                            ("combos", scored_total.into()),
+                            ("pruned", scan.pruned.into()),
+                            ("block_sweeps", scan.block_sweeps.into()),
                         ],
                     );
                     obs.counter_add("dist.rank_busy_ns", busy_ns);
-                    obs.counter_add("dist.block_sweeps", sweeps);
+                    obs.counter_add("dist.block_sweeps", scan.block_sweeps);
+                    obs.counter_add("dist.pruned_combos", scan.pruned);
                 }
                 outcome
             });
@@ -1186,7 +1215,8 @@ pub fn distributed_discover4_ft(
             let mut dead: BTreeSet<usize> = BTreeSet::new();
             let mut all_done = true;
             let mut winner: Option<(Scored<4>, u64)> = None;
-            let mut attempt_combos: Vec<u64> = Vec::new();
+            let mut attempt_scored: Vec<u64> = Vec::new();
+            let mut attempt_assigned: Vec<u64> = Vec::new();
             // Sized by the highest original id in the roster: joins can push
             // ids past the launch size (scale-up slots).
             let roster_cap = alive.iter().copied().max().map_or(0, |m| m + 1);
@@ -1197,7 +1227,8 @@ pub fn distributed_discover4_ft(
                         winner: w,
                         floor,
                         list,
-                        combos,
+                        scored,
+                        assigned,
                         stats,
                     } => {
                         if i == 0 {
@@ -1205,7 +1236,8 @@ pub fn distributed_discover4_ft(
                         }
                         debug_assert!(winner.is_none_or(|(ww, ff)| ww == *w && ff == *floor));
                         rank_lists[alive[i]] = list.clone();
-                        attempt_combos.extend_from_slice(combos);
+                        attempt_scored.extend_from_slice(scored);
+                        attempt_assigned.extend_from_slice(assigned);
                         recovery.ft.merge(stats);
                     }
                     RankOutcome::Crashed => {
@@ -1214,12 +1246,12 @@ pub fn distributed_discover4_ft(
                     }
                     RankOutcome::Aborted {
                         dead: d,
-                        combos,
+                        scored,
                         stats,
                     } => {
                         all_done = false;
                         dead.extend(d.iter().copied());
-                        attempt_combos.extend_from_slice(combos);
+                        attempt_scored.extend_from_slice(scored);
                         recovery.ft.merge(stats);
                     }
                 }
@@ -1234,7 +1266,7 @@ pub fn distributed_discover4_ft(
                         let fr = frontier_state.as_ref().expect("live frontier");
                         if fr.complete || w.score > fr.floor {
                             frontier_hit = true;
-                            break (w, attempt_combos);
+                            break (w, attempt_scored, attempt_assigned);
                         }
                         // Floor miss: discard the (cheap) rescore round and
                         // fall through to a full kernel attempt.
@@ -1248,7 +1280,7 @@ pub fn distributed_discover4_ft(
                             complete: total_combos <= k as u64,
                         });
                     }
-                    break (w, attempt_combos);
+                    break (w, attempt_scored, attempt_assigned);
                 }
             }
 
@@ -1259,7 +1291,7 @@ pub fn distributed_discover4_ft(
             frontier_state = None;
             try_frontier = false;
             recovery.re_executed_iterations += 1;
-            let wasted: u64 = attempt_combos.iter().sum();
+            let wasted: u64 = attempt_scored.iter().sum();
             recovery.re_executed_combos += wasted;
             if dead.is_empty() {
                 fruitless_attempts += 1;
@@ -1309,6 +1341,7 @@ pub fn distributed_discover4_ft(
             best,
             remaining,
             combos_per_gpu,
+            assigned_per_gpu,
         });
         if obs.is_enabled() {
             obs.point(
@@ -1925,6 +1958,7 @@ mod tests {
         for (a, b) in ft.result.iterations.iter().zip(&plain.iterations) {
             assert_eq!(a.best, b.best);
             assert_eq!(a.combos_per_gpu, b.combos_per_gpu);
+            assert_eq!(a.assigned_per_gpu, b.assigned_per_gpu);
         }
     }
 
@@ -1963,8 +1997,9 @@ mod tests {
                 .iterations
                 .iter()
                 .filter(|it| {
-                    let sum: u64 = it.combos_per_gpu.iter().sum();
+                    let sum: u64 = it.assigned_per_gpu.iter().sum();
                     assert!(sum == 0 || sum == total, "partial scan audited: {sum}");
+                    assert_scored_within_assigned(it);
                     sum == 0
                 })
                 .count() as u64;
@@ -2005,8 +2040,9 @@ mod tests {
         assert_eq!(lazy.combinations, full.combinations);
         assert!(lazy.iterations.len() > 1, "fixture should iterate");
         for (i, it) in lazy.iterations.iter().enumerate() {
-            let sum: u64 = it.combos_per_gpu.iter().sum();
+            let sum: u64 = it.assigned_per_gpu.iter().sum();
             assert_eq!(sum, if i == 0 { total } else { 0 }, "iteration {i}");
+            assert_scored_within_assigned(it);
         }
     }
 
@@ -2049,30 +2085,83 @@ mod tests {
             max_combinations: 1,
             ..DistributedConfig::default()
         };
-        let dist = distributed_discover4(&t, &n, &cfg);
-        let combos: u64 = dist.iterations[0].combos_per_gpu.iter().sum();
+        let obs = Obs::enabled();
+        let dist = distributed_discover4_obs(&t, &n, &cfg, &obs);
+        let combos: u64 = dist.iterations[0].assigned_per_gpu.iter().sum();
         assert_eq!(combos, multihit_core::combin::binomial(12, 4));
+        assert_scored_within_assigned(&dist.iterations[0]);
         // EA: per-GPU combos within ±1 thread-workload of each other.
         // Guarded defaults: a run whose audit stream came back partial (a
         // killed rank, an aborted attempt) must degrade this check to an
         // explicit empty-audit failure, not an unwrap panic.
         let max = dist.iterations[0]
-            .combos_per_gpu
+            .assigned_per_gpu
             .iter()
             .max()
             .copied()
             .unwrap_or(0);
         let min = dist.iterations[0]
-            .combos_per_gpu
+            .assigned_per_gpu
             .iter()
             .min()
             .copied()
             .unwrap_or(0);
         assert!(
-            !dist.iterations[0].combos_per_gpu.is_empty(),
+            !dist.iterations[0].assigned_per_gpu.is_empty(),
             "empty per-GPU audit"
         );
         assert!(max - min <= 12, "spread {}", max - min);
+        // Every assigned combination was either scored or pruned.
+        for p in obs.events().iter().filter(|e| e.name == "rank_exec") {
+            let rank = p.u64("rank").unwrap_or(0) as usize;
+            let assigned: u64 = dist.iterations[0].assigned_per_gpu[cfg.shape.gpus_of_rank(rank)]
+                .iter()
+                .sum();
+            let scored = p.u64("combos").unwrap_or(0);
+            let pruned = p.u64("pruned").unwrap_or(0);
+            assert_eq!(scored + pruned, assigned, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn slab_scan_matches_exhaustive_slab() {
+        use multihit_core::reduce::top_k;
+        use multihit_core::weight::score_combo;
+        let (t, n) = lcg_matrices(12, 96, 64, 29);
+        for scheme in [Scheme4::ThreeXOne, Scheme4::TwoXTwo] {
+            for p in SchedulerKind::EquiArea.partitions(scheme, 12, 3) {
+                let mut all = Vec::new();
+                for lambda in p.lo..p.hi {
+                    scheme.for_each_combo(lambda, 12, |c| {
+                        all.push(score_combo(&t, &n, &c, Alpha::PAPER));
+                    });
+                }
+                for k in [0usize, 1, 8, 64] {
+                    let cfg = DistributedConfig {
+                        scheme,
+                        frontier_k: k,
+                        ..DistributedConfig::default()
+                    };
+                    let scan = scan_slab(&t, &n, &cfg, p);
+                    let at = format!("{} {p:?} k={k}", scheme.name());
+                    assert_eq!(scan.best, fold_partials(all.iter().copied()), "{at}");
+                    assert_eq!(scan.shard, top_k(&all, k), "{at}");
+                    assert_eq!(scan.assigned, all.len() as u64, "{at}");
+                    assert_eq!(
+                        scan.stats.scored + scan.stats.pruned_combos,
+                        scan.assigned,
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn assert_scored_within_assigned(it: &DistIteration) {
+        assert_eq!(it.combos_per_gpu.len(), it.assigned_per_gpu.len());
+        for (s, a) in it.combos_per_gpu.iter().zip(&it.assigned_per_gpu) {
+            assert!(s <= a, "scored {s} > assigned {a}");
+        }
     }
 
     #[test]

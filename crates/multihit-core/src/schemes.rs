@@ -137,8 +137,8 @@ impl Scheme4 {
     /// the three fixed coordinates and the contiguous range the last
     /// coordinate streams over. Equivalent to [`Self::for_each_combo`] with
     /// `[p[0], p[1], p[2], l]` for `l` in the range, but exposes the run
-    /// structure so executors can fold the prefix AND once and score the
-    /// streamed rows through the block kernels.
+    /// structure a kernel launch prefetches and streams (the gpusim profile
+    /// audit counts its traffic this way).
     pub fn for_each_prefix<F: FnMut([u32; 3], std::ops::Range<u32>)>(
         self,
         lambda: u64,
@@ -178,6 +178,52 @@ impl Scheme4 {
     #[must_use]
     pub fn total_work(self, g: u32) -> u64 {
         binomial(u64::from(g), 4)
+    }
+
+    /// The combinations of threads `[lo, hi)` as ascending colex-rank runs
+    /// (ranks as in [`crate::combin::rank_tuple`]).
+    ///
+    /// Scheme `a×b` fixes the lowest `a` coordinates with λ = the colex
+    /// rank of that prefix, so for each upper tuple `(c_a < … < c_3)` the
+    /// slab covers the single run `[R+lo, R+min(hi, C(c_a, a)))` with
+    /// `R = Σ_{t≥a} C(c_t, t+1)`. Upper tuples are visited in colex order,
+    /// which keeps the runs ascending; empty runs are omitted. The runs
+    /// enumerate exactly the combinations [`Self::for_each_combo`] visits
+    /// for λ in the slab.
+    #[must_use]
+    pub fn colex_runs(self, lo: u64, hi: u64, g: u32) -> Vec<std::ops::Range<u64>> {
+        let c = |n: u32, k: u64| binomial(u64::from(n), k);
+        let mut runs = Vec::new();
+        let mut push = |base: u64, cap: u64| {
+            if cap > lo && hi > lo {
+                runs.push(base + lo..base + hi.min(cap));
+            }
+        };
+        match self {
+            Scheme4::OneXThree => {
+                for l in 3..g {
+                    for k in 2..l {
+                        for j in 1..k {
+                            push(c(j, 2) + c(k, 3) + c(l, 4), u64::from(j));
+                        }
+                    }
+                }
+            }
+            Scheme4::TwoXTwo => {
+                for l in 3..g {
+                    for k in 2..l {
+                        push(c(k, 3) + c(l, 4), c(k, 2));
+                    }
+                }
+            }
+            Scheme4::ThreeXOne => {
+                for l in 3..g {
+                    push(c(l, 4), c(l, 3));
+                }
+            }
+            Scheme4::FourXOne => push(0, c(g, 4)),
+        }
+        runs
     }
 }
 
@@ -252,35 +298,6 @@ impl Scheme3 {
                 let (i, j, k) = unrank_triple(lambda);
                 if k < g {
                     f([i, j, k]);
-                }
-            }
-        }
-    }
-
-    /// Thread λ's triples grouped by fixed pair prefix with the streamed
-    /// last-coordinate range — the 3-hit analogue of
-    /// [`Scheme4::for_each_prefix`].
-    pub fn for_each_prefix<F: FnMut([u32; 2], std::ops::Range<u32>)>(
-        self,
-        lambda: u64,
-        g: u32,
-        mut f: F,
-    ) {
-        match self {
-            Scheme3::OneXTwo => {
-                let i = lambda as u32;
-                for j in i + 1..g {
-                    f([i, j], j + 1..g);
-                }
-            }
-            Scheme3::TwoXOne => {
-                let (i, j) = unrank_pair(lambda);
-                f([i, j], j + 1..g);
-            }
-            Scheme3::ThreeXZero => {
-                let (i, j, k) = unrank_triple(lambda);
-                if k < g {
-                    f([i, j], k..k + 1);
                 }
             }
         }
@@ -378,18 +395,21 @@ mod tests {
                 assert_eq!(grouped, stepped, "scheme {} λ={l}", scheme.name());
             }
         }
-        let g = 13;
-        for scheme in Scheme3::ALL {
-            for l in 0..scheme.thread_count(g) {
-                let mut stepped = Vec::new();
-                scheme.for_each_combo(l, g, |c| stepped.push(c));
-                let mut grouped = Vec::new();
-                scheme.for_each_prefix(l, g, |p, range| {
-                    for last in range {
-                        grouped.push([p[0], p[1], last]);
-                    }
-                });
-                assert_eq!(grouped, stepped, "scheme {} λ={l}", scheme.name());
+    }
+
+    #[test]
+    fn colex_runs_enumerate_the_slab() {
+        let g = 10;
+        for scheme in Scheme4::ALL {
+            let n = scheme.thread_count(g);
+            for (lo, hi) in [(0, n), (n / 3, 2 * n / 3), (n / 2, n / 2)] {
+                let mut expect = Vec::new();
+                for l in lo..hi {
+                    scheme.for_each_combo(l, g, |c| expect.push(crate::combin::rank_tuple(&c)));
+                }
+                expect.sort_unstable();
+                let got: Vec<u64> = scheme.colex_runs(lo, hi, g).into_iter().flatten().collect();
+                assert_eq!(got, expect, "scheme {} [{lo}, {hi})", scheme.name());
             }
         }
     }

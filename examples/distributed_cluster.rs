@@ -63,11 +63,13 @@ fn main() {
             dist.combinations.len(),
         );
         assert!(agree, "distributed result diverged from reference");
-        // Show the equi-area balance of the first iteration.
-        let combos = &dist.iterations[0].combos_per_gpu;
-        let max = combos.iter().max().unwrap();
-        let min = combos.iter().min().unwrap();
-        println!("      per-GPU combinations: min {min}, max {max}");
+        // Show the equi-area balance of the first iteration, and how much
+        // of it the pruned slab scans actually scored.
+        let first = &dist.iterations[0];
+        let max = first.assigned_per_gpu.iter().max().unwrap();
+        let min = first.assigned_per_gpu.iter().min().unwrap();
+        let scored: u64 = first.combos_per_gpu.iter().sum();
+        println!("      per-GPU combinations: min {min}, max {max}; {scored} scored in total");
     }
     println!("\nall cluster shapes reproduce the reference exactly.");
 }

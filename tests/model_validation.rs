@@ -103,7 +103,11 @@ fn functional_combo_audit_matches_modeled_partitions() {
     let levels = levels_scheme4(Scheme4::ThreeXOne, 13);
     let parts = SchedulerKind::EquiArea.partitions(Scheme4::ThreeXOne, 13, 6);
     let areas = partition_areas(&levels, &parts);
-    assert_eq!(dist.iterations[0].combos_per_gpu, areas);
+    assert_eq!(dist.iterations[0].assigned_per_gpu, areas);
+    // Pruning scores at most the assigned slab on every GPU.
+    for (scored, area) in dist.iterations[0].combos_per_gpu.iter().zip(&areas) {
+        assert!(scored <= area, "scored {scored} > area {area}");
+    }
 }
 
 /// The cost model's efficiency claims must be self-consistent: summing the
