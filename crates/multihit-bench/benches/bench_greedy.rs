@@ -94,7 +94,12 @@ fn bench_scan_ladder(c: &mut Criterion) {
                 prune,
                 ..GreedyConfig::default()
             };
-            b.iter(|| best_combination::<3>(&t, &n, None, &cfg).score);
+            b.iter(|| {
+                best_combination::<3>(&t, &n, None, &cfg, 1, 0)
+                    .0
+                    .best()
+                    .score
+            });
             kernel::force_scalar(false);
         });
     }

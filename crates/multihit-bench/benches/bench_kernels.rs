@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use multihit_core::combin::binomial;
-use multihit_core::greedy::{ComboScanner, ScanStats};
+use multihit_core::frontier::TopK;
+use multihit_core::greedy::{scan_ranges, ComboScanner, ScanStats};
 use multihit_core::kernel;
 use multihit_core::reduce::{gpu_reduce, tree_reduce};
 use multihit_core::schemes::Scheme4;
@@ -29,7 +30,7 @@ fn bench_slab_scans(c: &mut Criterion) {
     // One GPU's share of a 4-GPU EA split, scanned the way cluster ranks
     // scan it: one pruned scanner re-seeked across the slab's colex runs.
     let (t, n) = cohort(28);
-    let mut grp = c.benchmark_group("slab_scan_pruned_g28");
+    let mut grp = c.benchmark_group("slab_scan_g28");
     grp.sample_size(20);
     for scheme in [Scheme4::TwoXTwo, Scheme4::ThreeXOne] {
         let parts = multihit_cluster::sched::schedule_ea_fast(
@@ -39,14 +40,10 @@ fn bench_slab_scans(c: &mut Criterion) {
         let runs = scheme.colex_runs(parts[0].lo, parts[0].hi, 28);
         grp.bench_function(scheme.name(), |b| {
             b.iter(|| {
-                let mut stats = ScanStats::default();
-                let mut sc = ComboScanner::<4>::new(&t, &n, None, Alpha::PAPER, runs[0].start);
-                let mut best = Scored::NEG_INFINITY;
-                for r in &runs {
-                    sc.reseek(r.start);
-                    best = sc.scan_pruned(r.end - r.start, best, None, &mut stats);
-                }
-                best
+                let mut acc = TopK::new(1);
+                let build = |start| ComboScanner::<4>::new(&t, &n, None, Alpha::PAPER, start);
+                scan_ranges(runs.iter().cloned(), build, &mut acc, true, None);
+                acc.into_sorted()
             })
         });
     }
@@ -84,7 +81,15 @@ fn bench_scanner(c: &mut Criterion) {
     c.bench_function("combo_scanner_h4_g40", |b| {
         b.iter(|| {
             let mut sc = ComboScanner::<4>::new(&t, &n, None, Alpha::PAPER, 0);
-            sc.scan(black_box(total))
+            let mut acc = TopK::new(1);
+            sc.scan(
+                black_box(total),
+                &mut acc,
+                false,
+                None,
+                &mut ScanStats::default(),
+            );
+            acc.into_sorted()
         })
     });
 }
@@ -140,7 +145,11 @@ fn bench_packed_vs_byte_matrix(c: &mut Criterion) {
             parallel: false,
             ..multihit_core::greedy::GreedyConfig::default()
         };
-        b.iter(|| multihit_core::greedy::best_combination::<3>(&t, &n, None, &cfg))
+        b.iter(|| {
+            multihit_core::greedy::best_combination::<3>(&t, &n, None, &cfg, 1, 0)
+                .0
+                .best()
+        })
     });
     grp.bench_function("byte_matrix", |b| {
         b.iter(|| multihit_core::naive::best_combination_naive::<3>(&bt, &bn, Alpha::PAPER))

@@ -394,7 +394,8 @@ pub fn run_with_checkpoints_obs<F: FnMut(&Checkpoint)>(
             break;
         }
         let scan_start = std::time::Instant::now();
-        let best = best_combination::<4>(tumor, normal, Some(&ckpt.uncovered_mask), cfg);
+        let (fr, _) = best_combination::<4>(tumor, normal, Some(&ckpt.uncovered_mask), cfg, 1, 0);
+        let best = fr.best();
         let scan_ns = u64::try_from(scan_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if best.tp == 0 {
             break;

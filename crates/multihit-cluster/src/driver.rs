@@ -19,7 +19,7 @@ use crate::topology::ClusterShape;
 use multihit_core::bitmat::BitMatrix;
 use multihit_core::combin::binomial;
 use multihit_core::frontier::{self, Frontier, TopK};
-use multihit_core::greedy::{ComboScanner, ScanStats};
+use multihit_core::greedy::{scan_ranges, ComboScanner, ScanStats};
 use multihit_core::kernelize::{kernelize, ReductionCert};
 use multihit_core::obs::Obs;
 use multihit_core::par::{default_workers, par_map_indexed, StealStats};
@@ -282,18 +282,19 @@ struct SlabScan {
     shard: Vec<Scored<4>>,
     /// Combinations in the slab (its area).
     assigned: u64,
-    /// `scored + pruned_combos == assigned`; `block_sweeps` from the scanner.
+    /// `scored + pruned_combos == assigned`.
     stats: ScanStats,
 }
 
 /// Score GPU slab `p` with [`ComboScanner`] and branch-and-bound pruning.
 ///
-/// The slab is its ascending colex runs ([`Scheme4::colex_runs`]); one
-/// scanner is re-seeked per run, threading the local best (or top-K)
-/// through the runs. Every incumbent is colex-earlier than the run being
-/// scanned, so the scanner's cut rules stay exact: the best and the shard
-/// equal the exhaustive ones over the slab. No bound is shared with other
-/// GPUs, so the scored count depends on the slab alone.
+/// The slab is its ascending colex runs ([`Scheme4::colex_runs`]), scanned
+/// by [`scan_ranges`]: one scanner re-seeked per run, threading the slab's
+/// top-K (K = 1 with the frontier off) through the runs. Every incumbent is
+/// colex-earlier than the run being scanned, so the scanner's cut rule
+/// stays exact: the best and the shard equal the exhaustive ones over the
+/// slab. No bound is shared with other GPUs, so the scored count depends
+/// on the slab alone.
 fn scan_slab(
     tumor: &BitMatrix,
     normal: &BitMatrix,
@@ -301,31 +302,14 @@ fn scan_slab(
     p: Partition,
 ) -> SlabScan {
     let runs = cfg.scheme.colex_runs(p.lo, p.hi, tumor.n_genes() as u32);
-    let mut stats = ScanStats::default();
-    let mut best = Scored::NEG_INFINITY;
-    let mut acc = (cfg.frontier_k > 0).then(|| TopK::new(cfg.frontier_k));
-    let mut scanner: Option<ComboScanner<4>> = None;
-    for run in &runs {
-        let sc = match scanner.as_mut() {
-            Some(sc) => {
-                sc.reseek(run.start);
-                sc
-            }
-            None => scanner.insert(ComboScanner::new(tumor, normal, None, cfg.alpha, run.start)),
-        };
-        let n = run.end - run.start;
-        match acc.as_mut() {
-            Some(acc) => sc.scan_topk(n, acc, true, None, &mut stats),
-            None => best = sc.scan_pruned(n, best, None, &mut stats),
-        }
-    }
-    stats.block_sweeps = scanner.as_ref().map_or(0, ComboScanner::block_sweeps);
-    let shard = acc.map(TopK::into_sorted).unwrap_or_default();
-    if let Some(&head) = shard.first() {
-        best = head;
-    }
     let assigned = runs.iter().map(|r| r.end - r.start).sum();
+    let mut acc = TopK::new(cfg.frontier_k.max(1));
+    let build = |start| ComboScanner::new(tumor, normal, None, cfg.alpha, start);
+    let stats = scan_ranges(runs, build, &mut acc, true, None);
     debug_assert_eq!(stats.scored + stats.pruned_combos, assigned);
+    let top = acc.into_sorted();
+    let best = top.first().copied().unwrap_or(Scored::NEG_INFINITY);
+    let shard = if cfg.frontier_k > 0 { top } else { Vec::new() };
     SlabScan {
         best,
         shard,

@@ -14,22 +14,27 @@
 //! realization of the paper's MemOpt prefetching, generalized to every
 //! level of the `H`-deep loop.
 //!
-//! On top of the incremental scan sit two exact accelerations:
+//! There is one scan loop, [`ComboScanner::scan`], and it scores into a
+//! [`TopK`] collector: the argmax is a collector of one, the lazy-greedy
+//! frontier a collector of `frontier_k`. Each level-0 sibling run is taken
+//! either as a block sweep or one step at a time. Two exact accelerations
+//! sit on top:
 //!
-//! * **Branch-and-bound pruning** ([`ComboScanner::scan_pruned`]): at colex
-//!   level `t` the partial-AND popcount bounds TP for *every* completion of
-//!   the lower coordinates, so `F_ub = (α·TP_partial + Nn)/(Nt+Nn)`; when
-//!   `F_ub` cannot beat the running best, the entire subtree sharing that
-//!   prefix — `C(c[t], t)` combinations — is skipped. The argmax is
-//!   bit-identical to the un-pruned scan by construction (ties lose to the
-//!   colex-earlier incumbent), and the test suite asserts it.
-//! * **Work stealing** ([`best_combination`]): an atomic λ-cursor
-//!   ([`crate::par::BlockQueue`]) hands out guided-size blocks so
-//!   pruning- and splice-induced imbalance cannot stall workers on static
-//!   chunks; per-worker winners fold with the deterministic
-//!   [`Scored::max_det`]. Workers share their best score through an atomic,
-//!   which only ever *increases* pruning power (strict-inequality cut), so
-//!   the fold stays bit-identical to the sequential scan.
+//! * **Branch-and-bound pruning**: at colex level `t` the partial-AND
+//!   popcount bounds TP for *every* completion of the lower coordinates, so
+//!   `F_ub = (α·TP_partial + Nn)/(Nt+Nn)`; when `F_ub` cannot enter the
+//!   full collector, the entire subtree sharing that prefix — `C(c[t], t)`
+//!   combinations — is skipped. The result is bit-identical to the
+//!   un-pruned scan by construction (ties lose to the colex-earlier
+//!   incumbents), and the test suite asserts it.
+//! * **Work stealing** ([`best_combination`], the one scan entry point): an
+//!   atomic λ-cursor ([`crate::par::BlockQueue`]) hands out guided-size
+//!   blocks so pruning- and splice-induced imbalance cannot stall workers
+//!   on static chunks; each worker runs [`scan_ranges`] and the per-worker
+//!   shards merge with the deterministic [`Scored`] order. Workers share
+//!   their full-heap floor through an atomic, which only ever *increases*
+//!   pruning power (strict-inequality cut), so the merge stays
+//!   bit-identical to the sequential scan.
 //!
 //! Covered samples are excluded either by **BitSplicing** (physically
 //! shrinking the tumor matrix, §III-D) or by carrying an active-column mask
@@ -42,8 +47,8 @@ use crate::frontier::{self, Frontier, TopK};
 use crate::kernel;
 use crate::obs::Obs;
 use crate::par::{self, BlockQueue};
-use crate::reduce::fold_partials;
 use crate::weight::{Alpha, Combo, Scored};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -576,35 +581,6 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         }
     }
 
-    /// Advance to the next combination in colex order. Returns `false` when
-    /// the enumeration is exhausted.
-    fn advance(&mut self) -> bool {
-        self.advance_floor(0)
-    }
-
-    /// [`Self::advance`] rebuilding only levels `>= floor`. The block sweep
-    /// passes `floor = 1`: it never reads the level-0 partial (candidate
-    /// rows are scored straight off the level-1 partial), so rebuilding it
-    /// would be pure waste.
-    fn advance_floor(&mut self, floor: usize) -> bool {
-        // Find the smallest level whose coordinate can still move up.
-        for t in 0..H {
-            let limit = if t + 1 < H { self.combo[t + 1] } else { self.g };
-            if self.combo[t] + 1 < limit {
-                self.combo[t] += 1;
-                // Reset all lower coordinates to their minimal values.
-                for (low, c) in self.combo.iter_mut().enumerate().take(t) {
-                    *c = low as u32;
-                }
-                for level in (floor..=t).rev() {
-                    self.rebuild_level(level);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
     /// Exclusive upper end of the current level-0 sibling run: the lowest
     /// coordinate sweeps `[combo[0], combo[1])` while every higher
     /// coordinate stays fixed. Only meaningful for `H >= 2`.
@@ -694,152 +670,90 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
         self.combo[0] = (lo + n - 1) as u32;
     }
 
-    /// Scan `count` combinations starting at the current position, returning
-    /// the deterministic best.
-    #[must_use]
-    pub fn scan(&mut self, count: u64) -> Scored<H> {
-        if !self.sweep_enabled() {
-            return self.scan_step(count);
-        }
-        let mut best = Scored::NEG_INFINITY;
-        let mut remaining = count;
-        while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| best = best.max_det(s));
-            remaining -= n as u64;
-            if remaining == 0 || !self.advance_floor(1) {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Stepping reference for [`Self::scan`] (also the `H = 1` path).
-    fn scan_step(&mut self, count: u64) -> Scored<H> {
-        let mut best = Scored::NEG_INFINITY;
-        for step in 0..count {
-            best = best.max_det(self.score_current());
-            if step + 1 < count && !self.advance() {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Scan `count` combinations with branch-and-bound pruning. Returns the
-    /// deterministic best of `seed` and the scanned range — bit-identical to
-    /// `seed.max_det(self.scan(count))`.
+    /// Scan `count` combinations from the current position into the top-K
+    /// collector `acc` — the one scan loop. An argmax is `TopK::new(1)`.
     ///
-    /// `seed` must come from combinations that are colex-*earlier* than this
-    /// range (or be `NEG_INFINITY`): a subtree is cut when its bound cannot
-    /// *strictly* beat `seed`'s score, which is exact because colex-later
-    /// ties lose to the incumbent under [`Scored::cmp_det`]. `shared`, when
-    /// given, carries the best score seen by *any* worker; since another
-    /// worker's equal-scoring combination may be colex-later than this range,
-    /// the shared cut requires the bound to be strictly below it.
-    pub fn scan_pruned(
+    /// Each level-0 sibling run `[combo[0], combo[1])` is scored as a block
+    /// sweep (`sweep_level0`) or, with sweeping off (and always for
+    /// `H = 1`), one combination at a time. Between runs the scanner
+    /// advances in colex order; with `prune` it checks the F upper bound at
+    /// every rebuilt level `>= 1` and skips the whole subtree when the bound
+    /// cannot enter the collector. Level-0 siblings are never individually
+    /// pruned, so sweeping and stepping make identical cut decisions.
+    ///
+    /// The cut requires a *full* heap: with K entries, each scoring at
+    /// least the floor and each colex-earlier than the subtree (callers
+    /// scan monotonically increasing ranges into one collector), every
+    /// subtree member whose bound does not exceed the floor loses the entry
+    /// rule to all K incumbents — so the result is identical to
+    /// [`crate::reduce::top_k`] over the range. `shared`, when given,
+    /// carries the highest full-heap floor published by any worker (or a
+    /// seed witnessed by K real combinations); since K combinations
+    /// elsewhere score at least it, the shared cut is strict. Every
+    /// enumerated combination lands in `stats.scored` or
+    /// `stats.pruned_combos`.
+    pub fn scan(
         &mut self,
         count: u64,
-        seed: Scored<H>,
+        acc: &mut TopK<H>,
+        prune: bool,
         shared: Option<&AtomicU64>,
         stats: &mut ScanStats,
-    ) -> Scored<H> {
-        if !self.sweep_enabled() {
-            return self.scan_pruned_step(count, seed, shared, stats);
-        }
-        // Level-0 siblings are never individually pruned (the rebuild loop
-        // bound-checks only levels >= 1), so once the level-1 bound survives
-        // the whole run [combo[0], combo[1]) is scored — as a block sweep
-        // here, one step at a time in the reference. Identical either way.
-        let mut best = seed;
+    ) {
+        let sweep = self.sweep_enabled();
         let mut remaining = count;
         while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| {
-                if s.beats(&best) {
-                    best = s;
-                    if let Some(sh) = shared {
-                        sh.fetch_max(best.score, Ordering::Relaxed);
-                    }
-                }
-            });
-            stats.scored += n as u64;
-            remaining -= n as u64;
-            if remaining == 0 || !self.advance_pruned(&mut remaining, &best, shared, stats, 1) {
+            let n = if sweep {
+                let run = u64::from(self.level0_limit() - self.combo[0]);
+                let n = run.min(remaining);
+                self.sweep_level0(n as usize, |s| offer(acc, shared, s));
+                n
+            } else {
+                offer(acc, shared, self.score_current());
+                1
+            };
+            stats.scored += n;
+            remaining -= n;
+            if remaining == 0 || !self.advance(&mut remaining, acc, prune, shared, stats) {
                 break;
             }
         }
-        best
     }
 
-    /// Stepping reference for [`Self::scan_pruned`] (also the `H = 1` path).
-    fn scan_pruned_step(
-        &mut self,
-        count: u64,
-        seed: Scored<H>,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) -> Scored<H> {
-        let mut best = seed;
-        let mut remaining = count;
-        while remaining > 0 {
-            let s = self.score_current();
-            stats.scored += 1;
-            if s.beats(&best) {
-                best = s;
-                if let Some(sh) = shared {
-                    sh.fetch_max(best.score, Ordering::Relaxed);
-                }
-            }
-            remaining -= 1;
-            if remaining == 0 || !self.advance_pruned(&mut remaining, &best, shared, stats, 0) {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Advance to the next combination whose subtree bound survives, pruning
-    /// bound-dominated subtrees along the way. Decrements `remaining` by the
+    /// Advance to the next combination whose subtree survives the cut (any
+    /// combination when `!prune`). Decrements `remaining` by the
     /// combinations each pruned subtree would have scored (clamped so a
     /// subtree overhanging the caller's range never over-counts). Returns
     /// `false` when the enumeration is exhausted; `remaining == 0` on return
     /// means the range ended inside a pruned subtree.
     ///
-    /// `floor` is the lowest level to rebuild: 0 when stepping (the leaf
-    /// partial feeds [`Self::score_current`]), 1 when block-sweeping (the
-    /// sweep scores candidates straight off the level-1 partial). The bound
-    /// is only ever checked at levels `>= 1`, so the cut decisions are
-    /// identical for both floors.
-    fn advance_pruned(
+    /// Rebuilds levels down to 1 while sweeping (the sweep scores candidate
+    /// rows straight off the level-1 partial) and down to 0 when stepping
+    /// (the leaf partial feeds [`Self::score_current`]).
+    fn advance(
         &mut self,
         remaining: &mut u64,
-        best: &Scored<H>,
+        acc: &TopK<H>,
+        prune: bool,
         shared: Option<&AtomicU64>,
         stats: &mut ScanStats,
-        floor: usize,
     ) -> bool {
+        let floor = usize::from(self.sweep_enabled());
         // Smallest level allowed to move; pruning at level `t` resumes the
         // colex enumeration at the first combination past the subtree, which
         // is exactly "advance at level >= t".
         let mut from = 0usize;
         'advance: loop {
-            let mut moved = usize::MAX;
-            for t in from..H {
+            let Some(moved) = (from..H).find(|&t| {
                 let limit = if t + 1 < H { self.combo[t + 1] } else { self.g };
-                if self.combo[t] + 1 < limit {
-                    self.combo[t] += 1;
-                    for (low, c) in self.combo.iter_mut().enumerate().take(t) {
-                        *c = low as u32;
-                    }
-                    moved = t;
-                    break;
-                }
-            }
-            if moved == usize::MAX {
+                self.combo[t] + 1 < limit
+            }) else {
                 return false;
+            };
+            self.combo[moved] += 1;
+            // Reset all lower coordinates to their minimal values.
+            for (low, c) in self.combo.iter_mut().enumerate().take(moved) {
+                *c = low as u32;
             }
             // Rebuild top-down, checking the F upper bound at every level
             // above the leaves. After the advance, coordinates below `level`
@@ -847,145 +761,8 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
             // subtree are exactly the next ones in colex order.
             for level in (floor..=moved).rev() {
                 self.rebuild_level(level);
-                if level == 0 {
-                    break;
-                }
-                let bound = self.alpha.score(self.pop_t[level], self.n_normal);
-                let cut = bound <= best.score
-                    || shared.is_some_and(|sh| bound < sh.load(Ordering::Relaxed));
-                if cut {
-                    let subtree = binomial(u64::from(self.combo[level]), level as u64);
-                    let skipped = subtree.min(*remaining);
-                    stats.pruned_subtrees += 1;
-                    stats.pruned_combos += skipped;
-                    *remaining -= skipped;
-                    if *remaining == 0 {
-                        return true;
-                    }
-                    from = level;
-                    continue 'advance;
-                }
-            }
-            return true;
-        }
-    }
-
-    /// Scan `count` combinations accumulating the top-K into `acc`, with
-    /// optional branch-and-bound pruning against the accumulator's floor.
-    ///
-    /// The cut requires a *full* heap: with K entries, each scoring at
-    /// least the floor and each colex-earlier than the subtree (this
-    /// worker scans monotonically increasing ranges), every subtree
-    /// member whose bound does not exceed the floor loses the entry rule
-    /// to all K incumbents — so the pruned per-shard result is identical
-    /// to [`crate::reduce::top_k`] over the shard. `shared`, when given,
-    /// carries the highest *full-heap* floor published by any worker;
-    /// since K combinations elsewhere score at least it, the shared cut
-    /// is strict.
-    pub fn scan_topk(
-        &mut self,
-        count: u64,
-        acc: &mut TopK<H>,
-        prune: bool,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) {
-        if !self.sweep_enabled() {
-            return self.scan_topk_step(count, acc, prune, shared, stats);
-        }
-        let mut remaining = count;
-        while remaining > 0 {
-            let run = u64::from(self.level0_limit() - self.combo[0]);
-            let n = run.min(remaining) as usize;
-            self.sweep_level0(n, |s| {
-                if acc.offer(s) && acc.is_full() {
-                    if let Some(sh) = shared {
-                        sh.fetch_max(acc.floor_score(), Ordering::Relaxed);
-                    }
-                }
-            });
-            stats.scored += n as u64;
-            remaining -= n as u64;
-            if remaining == 0 {
-                break;
-            }
-            let more = if prune {
-                self.advance_topk(&mut remaining, acc, shared, stats, 1)
-            } else {
-                self.advance_floor(1)
-            };
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// Stepping reference for [`Self::scan_topk`] (also the `H = 1` path).
-    fn scan_topk_step(
-        &mut self,
-        count: u64,
-        acc: &mut TopK<H>,
-        prune: bool,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-    ) {
-        let mut remaining = count;
-        while remaining > 0 {
-            let s = self.score_current();
-            stats.scored += 1;
-            if acc.offer(s) && acc.is_full() {
-                if let Some(sh) = shared {
-                    sh.fetch_max(acc.floor_score(), Ordering::Relaxed);
-                }
-            }
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-            let more = if prune {
-                self.advance_topk(&mut remaining, acc, shared, stats, 0)
-            } else {
-                self.advance()
-            };
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// [`Self::advance_pruned`] for top-K accumulation: a subtree is cut
-    /// only when the local heap is full and the bound does not beat its
-    /// floor, or when the bound is strictly below the shared full-heap
-    /// floor.
-    fn advance_topk(
-        &mut self,
-        remaining: &mut u64,
-        acc: &TopK<H>,
-        shared: Option<&AtomicU64>,
-        stats: &mut ScanStats,
-        floor: usize,
-    ) -> bool {
-        let mut from = 0usize;
-        'advance: loop {
-            let mut moved = usize::MAX;
-            for t in from..H {
-                let limit = if t + 1 < H { self.combo[t + 1] } else { self.g };
-                if self.combo[t] + 1 < limit {
-                    self.combo[t] += 1;
-                    for (low, c) in self.combo.iter_mut().enumerate().take(t) {
-                        *c = low as u32;
-                    }
-                    moved = t;
-                    break;
-                }
-            }
-            if moved == usize::MAX {
-                return false;
-            }
-            for level in (floor..=moved).rev() {
-                self.rebuild_level(level);
-                if level == 0 {
-                    break;
+                if !prune || level == 0 {
+                    continue;
                 }
                 let bound = self.alpha.score(self.pop_t[level], self.n_normal);
                 let cut = (acc.is_full() && bound <= acc.floor_score())
@@ -1008,37 +785,57 @@ impl<'a, const H: usize> ComboScanner<'a, H> {
     }
 }
 
-/// Find the argmax-F combination over all `C(G,H)` candidates.
-///
-/// Thin wrapper over [`best_combination_stats`] for callers that do not need
-/// the scan accounting.
-#[must_use]
-pub fn best_combination<const H: usize>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    tumor_mask: Option<&[u64]>,
-    cfg: &GreedyConfig,
-) -> Scored<H> {
-    best_combination_stats(tumor, normal, tumor_mask, cfg).0
+/// Offer one scored combination to the collector and, once the heap is
+/// full, publish its floor to the shared bound.
+#[inline]
+fn offer<const H: usize>(acc: &mut TopK<H>, shared: Option<&AtomicU64>, s: Scored<H>) {
+    if acc.offer(s) && acc.is_full() {
+        if let Some(sh) = shared {
+            sh.fetch_max(acc.floor_score(), Ordering::Relaxed);
+        }
+    }
 }
 
-/// Find the argmax-F combination and report how the scan got there.
+/// The per-worker scan loop: build one scanner at the first range with
+/// `build`, [`ComboScanner::reseek`] it for every later range (range
+/// turnover must not re-allocate the per-level partials), scan each range
+/// into `acc`, and harvest the scanner's counters once at the end.
 ///
-/// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
-/// one worker per core; each worker threads its own running best through
-/// consecutive (colex-ordered) blocks and publishes its best *score* to a
-/// shared atomic that tightens every worker's pruning bound. Per-worker
-/// winners fold with [`fold_partials`], so the result is bit-identical to
-/// the sequential scan regardless of schedule, and with `cfg.prune` off it
-/// is bit-identical to the exhaustive reference.
-#[must_use]
-pub fn best_combination_stats<const H: usize>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    tumor_mask: Option<&[u64]>,
-    cfg: &GreedyConfig,
-) -> (Scored<H>, ScanStats) {
-    best_combination_seeded(tumor, normal, tumor_mask, cfg, 0)
+/// `ranges` must be ascending and disjoint so every incumbent in `acc` is
+/// colex-earlier than the range being scanned (the cut rule's premise).
+/// The returned stats count each range as a block and every block beyond
+/// the first as a steal. Serves both the [`BlockQueue`] workers of
+/// [`best_combination`] and the cluster ranks' λ-slab scans.
+pub fn scan_ranges<'a, const H: usize>(
+    ranges: impl IntoIterator<Item = Range<u64>>,
+    build: impl Fn(u64) -> ComboScanner<'a, H>,
+    acc: &mut TopK<H>,
+    prune: bool,
+    shared: Option<&AtomicU64>,
+) -> ScanStats {
+    let mut st = ScanStats::default();
+    let mut scanner: Option<ComboScanner<'a, H>> = None;
+    for range in ranges {
+        st.blocks += 1;
+        let sc = match scanner.as_mut() {
+            Some(sc) => {
+                sc.reseek(range.start);
+                sc
+            }
+            None => {
+                st.scanner_builds += 1;
+                scanner.insert(build(range.start))
+            }
+        };
+        sc.scan(range.end - range.start, acc, prune, shared, &mut st);
+    }
+    if let Some(sc) = &scanner {
+        st.words_skipped += sc.words_skipped();
+        st.block_sweeps += sc.block_sweeps();
+        st.swept_rows += sc.swept_rows();
+    }
+    st.steals = st.blocks.saturating_sub(1);
+    st
 }
 
 /// Resolve [`GreedyConfig::sparse`] for a scan over these matrices: build
@@ -1059,27 +856,41 @@ fn build_skip(
     (mode == SparseMode::On || frac >= SPARSE_AUTO_THRESHOLD).then_some((ts, ns))
 }
 
-/// [`best_combination_stats`] with the shared pruning bound *seeded*.
+/// Scan all `C(G,H)` combinations for the global top-`k` (an argmax is
+/// `k = 1`: the answer is [`Frontier::best`]) and report how the scan got
+/// there.
 ///
-/// `seed_score` must be a score some combination of the **current**
-/// matrices actually achieves (e.g. the previous iteration's global floor
-/// after rescoring) or 0: the shared cut drops subtrees whose bound is
-/// strictly below it, which is exact only when a real combination
-/// witnesses the seed. Seeding never changes the returned argmax — it
-/// only lets the scan start hot instead of from zero.
+/// With `cfg.parallel` a [`BlockQueue`] λ-cursor hands guided-size blocks to
+/// one worker per core; each worker threads its own [`TopK`] through
+/// consecutive (colex-ordered) blocks via [`scan_ranges`] and publishes its
+/// full-heap floor to a shared atomic that tightens every worker's pruning
+/// bound. A single worker scans the whole space as one block. Per-worker
+/// shards merge with [`Frontier::from_shards`] (the
+/// [`crate::reduce::merge_top_k`] rule), so the result is bit-identical to
+/// the sequential scan regardless of schedule, and with `cfg.prune` off it
+/// is bit-identical to the exhaustive reference.
+///
+/// `seed` hot-starts the shared cut. It must be witnessed by `k` current
+/// combinations scoring at least it (the rescored frontier's K-th score
+/// qualifies) or be 0; seeding never changes the result.
+///
+/// # Panics
+/// Panics if `k == 0`.
 #[must_use]
-pub fn best_combination_seeded<const H: usize>(
+pub fn best_combination<const H: usize>(
     tumor: &BitMatrix,
     normal: &BitMatrix,
     tumor_mask: Option<&[u64]>,
     cfg: &GreedyConfig,
-    seed_score: u64,
-) -> (Scored<H>, ScanStats) {
+    k: usize,
+    seed: u64,
+) -> (Frontier<H>, ScanStats) {
+    assert!(k >= 1, "a scan needs a collector of at least one entry");
     let g = tumor.n_genes() as u64;
     let total = binomial(g, H as u64);
     let mut stats = ScanStats::default();
     if total == 0 {
-        return (Scored::NEG_INFINITY, stats);
+        return (Frontier::new(Vec::new(), 0), stats);
     }
     // Never spawn more workers than there are min-grain blocks of work.
     let workers = if cfg.parallel {
@@ -1101,22 +912,6 @@ pub fn best_combination_seeded<const H: usize>(
         }
         sc
     };
-    if workers == 1 {
-        let mut sc = make_scanner(0);
-        let best = if cfg.prune {
-            let shared = (seed_score > 0).then(|| AtomicU64::new(seed_score));
-            sc.scan_pruned(total, Scored::NEG_INFINITY, shared.as_ref(), &mut stats)
-        } else {
-            stats.scored = total;
-            sc.scan(total)
-        };
-        stats.blocks = 1;
-        stats.scanner_builds = 1;
-        stats.words_skipped = sc.words_skipped();
-        stats.block_sweeps = sc.block_sweeps();
-        stats.swept_rows = sc.swept_rows();
-        return (best, stats);
-    }
     // Align λ-boundaries to the sweep chunk so block handoffs land on
     // whole sweep-kernel chunks (ragged tails only at run/range ends).
     let align = if cfg.block_sweep {
@@ -1124,144 +919,17 @@ pub fn best_combination_seeded<const H: usize>(
     } else {
         1
     };
-    let queue = BlockQueue::with_grain_aligned(total, workers, par::DEFAULT_MIN_GRAIN, align);
-    let shared = AtomicU64::new(seed_score);
-    let results = par::run_workers(workers, |_| {
-        let mut local = Scored::NEG_INFINITY;
-        let mut st = ScanStats::default();
-        // One scanner per worker, re-seeked across stolen blocks: block
-        // turnover must not re-allocate the per-level partial buffers.
-        let mut scanner: Option<ComboScanner<H>> = None;
-        while let Some((lo, hi)) = queue.next() {
-            st.blocks += 1;
-            if let Some(sc) = scanner.as_mut() {
-                sc.reseek(lo);
-            } else {
-                scanner = Some(make_scanner(lo));
-                st.scanner_builds += 1;
-            }
-            let sc = scanner.as_mut().expect("scanner just ensured");
-            if cfg.prune {
-                local = sc.scan_pruned(hi - lo, local, Some(&shared), &mut st);
-            } else {
-                st.scored += hi - lo;
-                local = local.max_det(sc.scan(hi - lo));
-            }
-        }
-        if let Some(sc) = &scanner {
-            st.words_skipped += sc.words_skipped();
-            st.block_sweeps += sc.block_sweeps();
-            st.swept_rows += sc.swept_rows();
-        }
-        if st.blocks > 0 {
-            st.steals = st.blocks - 1;
-        }
-        (local, st)
-    });
-    for (_, st) in &results {
-        stats.merge(st);
-    }
-    // Block churn must never re-allocate scanners: one build per worker.
-    debug_assert!(
-        stats.scanner_builds <= workers as u64,
-        "{} scanner builds for {workers} workers",
-        stats.scanner_builds
-    );
-    let best = fold_partials(results.into_iter().map(|(b, _)| b));
-    (best, stats)
-}
-
-/// Full scan that also *builds* the lazy-greedy frontier: the global
-/// top-`cfg.frontier_k` list (merged across workers with the same rule as
-/// [`crate::reduce::merge_top_k`]) plus its K-th-score floor.
-///
-/// The returned argmax is bit-identical to [`best_combination_stats`]:
-/// it is the head of the deterministic top-K. Pruning uses the weaker
-/// full-heap-floor cut (a subtree may hold a top-K member even when it
-/// cannot hold the argmax), so iteration-1 costs somewhat more than the
-/// 1-best scan — the frontier pays that back on every skipped iteration.
-/// `seed_floor` hot-starts the shared cut; it must be witnessed by
-/// `cfg.frontier_k` current combinations (the rescored frontier's K-th
-/// score qualifies) or be 0.
-#[must_use]
-pub fn best_combination_frontier<const H: usize>(
-    tumor: &BitMatrix,
-    normal: &BitMatrix,
-    tumor_mask: Option<&[u64]>,
-    cfg: &GreedyConfig,
-    seed_floor: u64,
-) -> (Scored<H>, ScanStats, Frontier<H>) {
-    let g = tumor.n_genes() as u64;
-    let total = binomial(g, H as u64);
-    let k = cfg.frontier_k;
-    let mut stats = ScanStats::default();
-    if total == 0 {
-        return (Scored::NEG_INFINITY, stats, Frontier::new(Vec::new(), 0));
-    }
-    let workers = if cfg.parallel {
-        let cap = usize::try_from(total.div_ceil(par::DEFAULT_MIN_GRAIN)).unwrap_or(usize::MAX);
-        par::default_workers().min(cap).max(1)
+    let grain = if workers == 1 {
+        total
     } else {
-        1
+        par::DEFAULT_MIN_GRAIN
     };
-    let skip = build_skip(cfg.sparse, tumor, normal);
-    let make_scanner = |start: u64| {
-        let mut sc = match &skip {
-            Some((ts, ns)) => {
-                ComboScanner::<H>::with_skip(tumor, normal, tumor_mask, cfg.alpha, start, (ts, ns))
-            }
-            None => ComboScanner::<H>::new(tumor, normal, tumor_mask, cfg.alpha, start),
-        };
-        if !cfg.block_sweep {
-            sc.set_sweep_width(1);
-        }
-        sc
-    };
-    if workers == 1 {
-        let mut acc = TopK::new(k);
-        let mut sc = make_scanner(0);
-        let shared = (seed_floor > 0).then(|| AtomicU64::new(seed_floor));
-        sc.scan_topk(total, &mut acc, cfg.prune, shared.as_ref(), &mut stats);
-        stats.blocks = 1;
-        stats.scanner_builds = 1;
-        stats.words_skipped = sc.words_skipped();
-        stats.block_sweeps = sc.block_sweeps();
-        stats.swept_rows = sc.swept_rows();
-        let fr = Frontier::new(acc.into_sorted(), total);
-        return (fr.best(), stats, fr);
-    }
-    // Align λ-boundaries to the sweep chunk so block handoffs land on
-    // whole sweep-kernel chunks (ragged tails only at run/range ends).
-    let align = if cfg.block_sweep {
-        kernel::SWEEP_BLOCK as u64
-    } else {
-        1
-    };
-    let queue = BlockQueue::with_grain_aligned(total, workers, par::DEFAULT_MIN_GRAIN, align);
-    let shared = AtomicU64::new(seed_floor);
+    let queue = BlockQueue::with_grain_aligned(total, workers, grain, align);
+    let shared = AtomicU64::new(seed);
     let results = par::run_workers(workers, |_| {
         let mut acc = TopK::new(k);
-        let mut st = ScanStats::default();
-        let mut scanner: Option<ComboScanner<H>> = None;
-        while let Some((lo, hi)) = queue.next() {
-            st.blocks += 1;
-            if let Some(sc) = scanner.as_mut() {
-                sc.reseek(lo);
-            } else {
-                scanner = Some(make_scanner(lo));
-                st.scanner_builds += 1;
-            }
-            let sc = scanner.as_mut().expect("scanner just ensured");
-            sc.scan_topk(hi - lo, &mut acc, cfg.prune, Some(&shared), &mut st);
-        }
-        if let Some(sc) = &scanner {
-            st.words_skipped += sc.words_skipped();
-            st.block_sweeps += sc.block_sweeps();
-            st.swept_rows += sc.swept_rows();
-        }
-        if st.blocks > 0 {
-            st.steals = st.blocks - 1;
-        }
+        let blocks = std::iter::from_fn(|| queue.next()).map(|(lo, hi)| lo..hi);
+        let st = scan_ranges(blocks, make_scanner, &mut acc, cfg.prune, Some(&shared));
         (acc.into_sorted(), st)
     });
     let mut shards = Vec::with_capacity(results.len());
@@ -1269,13 +937,13 @@ pub fn best_combination_frontier<const H: usize>(
         stats.merge(&st);
         shards.push(shard);
     }
+    // Block churn must never re-allocate scanners: one build per worker.
     debug_assert!(
         stats.scanner_builds <= workers as u64,
         "{} scanner builds for {workers} workers",
         stats.scanner_builds
     );
-    let fr = Frontier::from_shards(&shards, k, total);
-    (fr.best(), stats, fr)
+    (Frontier::from_shards(&shards, k, total), stats)
 }
 
 /// Run the full greedy weighted-set-cover discovery for `H`-hit
@@ -1332,39 +1000,33 @@ pub fn discover_obs<const H: usize>(
         let mut frontier_hit = false;
         let mut frontier_rescored = 0u64;
         let scan_start = Instant::now();
-        let (best, scan_stats) = if cfg.frontier_k > 0 {
-            // Rescore the retained top-K; a strict floor clear proves the
-            // global argmax without scanning. On a miss, rebuild the
-            // frontier with the shared cut seeded from the rescored K-th
-            // score (witnessed by K current combinations).
-            let mut seed_floor = 0u64;
-            let mut hit = None;
-            if let Some(fr) = frontier_state.as_ref() {
-                let r = fr.rescore(&work_tumor, normal, mask_arg, cfg.alpha);
-                frontier_rescored = r.rescored;
-                if fr.is_hit(&r.best) {
-                    frontier_hit = true;
-                    hit = Some((r.best, ScanStats::default()));
-                } else {
-                    seed_floor = r.kth_score;
-                }
+        // Rescore the retained top-K; a strict floor clear proves the global
+        // argmax without scanning. On a miss (or with the frontier off)
+        // scan, seeding the shared cut from the rescored K-th score
+        // (witnessed by K current combinations).
+        let mut seed = 0u64;
+        let mut hit = None;
+        if let Some(fr) = frontier_state.as_ref() {
+            let r = fr.rescore(&work_tumor, normal, mask_arg, cfg.alpha);
+            frontier_rescored = r.rescored;
+            if fr.is_hit(&r.best) {
+                frontier_hit = true;
+                hit = Some(r.best);
+            } else {
+                seed = r.kth_score;
             }
-            match hit {
-                Some(found) => found,
-                None => {
-                    let (best, st, fr) = best_combination_frontier::<H>(
-                        &work_tumor,
-                        normal,
-                        mask_arg,
-                        cfg,
-                        seed_floor,
-                    );
+        }
+        let (best, scan_stats) = match hit {
+            Some(best) => (best, ScanStats::default()),
+            None => {
+                let k = cfg.frontier_k.max(1);
+                let (fr, st) = best_combination::<H>(&work_tumor, normal, mask_arg, cfg, k, seed);
+                let best = fr.best();
+                if cfg.frontier_k > 0 {
                     frontier_state = Some(fr);
-                    (best, st)
                 }
+                (best, st)
             }
-        } else {
-            best_combination_stats::<H>(&work_tumor, normal, mask_arg, cfg)
         };
         let scan_ns = u64::try_from(scan_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if best.tp == 0 {
@@ -1396,10 +1058,12 @@ pub fn discover_obs<const H: usize>(
         }
         let splice_ns = u64::try_from(splice_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if obs.is_enabled() {
+            // Throughput of the combinations actually evaluated: a pruned
+            // scan counts its scored ones, a frontier hit none.
             let combos_per_sec = if scan_ns == 0 {
                 0.0
             } else {
-                combos_scored as f64 / (scan_ns as f64 / 1e9)
+                scan_stats.scored as f64 / (scan_ns as f64 / 1e9)
             };
             obs.point(
                 "greedy_iter",
@@ -1475,6 +1139,33 @@ mod tests {
     use super::*;
     use crate::weight::score_combo;
 
+    /// The argmax through the one entry point (K = 1, unseeded).
+    fn argmax<const H: usize>(
+        t: &BitMatrix,
+        n: &BitMatrix,
+        mask: Option<&[u64]>,
+        cfg: &GreedyConfig,
+    ) -> Scored<H> {
+        argmax_stats(t, n, mask, cfg).0
+    }
+
+    fn argmax_stats<const H: usize>(
+        t: &BitMatrix,
+        n: &BitMatrix,
+        mask: Option<&[u64]>,
+        cfg: &GreedyConfig,
+    ) -> (Scored<H>, ScanStats) {
+        let (fr, st) = best_combination::<H>(t, n, mask, cfg, 1, 0);
+        (fr.best(), st)
+    }
+
+    /// Exhaustive (unpruned) argmax of the next `count` combinations.
+    fn scan_best<const H: usize>(sc: &mut ComboScanner<'_, H>, count: u64) -> Scored<H> {
+        let mut acc = TopK::new(1);
+        sc.scan(count, &mut acc, false, None, &mut ScanStats::default());
+        acc.into_sorted()[0]
+    }
+
     fn lcg_matrices(g: usize, nt: usize, nn: usize, seed: u64) -> (BitMatrix, BitMatrix) {
         let mut state = seed | 1;
         let mut next = move || {
@@ -1530,15 +1221,15 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert_eq!(
-            best_combination::<2>(&t, &n, None, &cfg),
+            argmax::<2>(&t, &n, None, &cfg),
             brute_best::<2>(&t, &n, None)
         );
         assert_eq!(
-            best_combination::<3>(&t, &n, None, &cfg),
+            argmax::<3>(&t, &n, None, &cfg),
             brute_best::<3>(&t, &n, None)
         );
         assert_eq!(
-            best_combination::<4>(&t, &n, None, &cfg),
+            argmax::<4>(&t, &n, None, &cfg),
             brute_best::<4>(&t, &n, None)
         );
     }
@@ -1556,8 +1247,8 @@ mod tests {
         };
         for _ in 0..2 {
             assert_eq!(
-                best_combination::<3>(&t, &n, None, &par),
-                best_combination::<3>(&t, &n, None, &seq)
+                argmax::<3>(&t, &n, None, &par),
+                argmax::<3>(&t, &n, None, &seq)
             );
         }
     }
@@ -1572,7 +1263,7 @@ mod tests {
             parallel: false,
             ..GreedyConfig::default()
         };
-        let got = best_combination::<2>(&t, &n, Some(&mask), &cfg);
+        let got = argmax::<2>(&t, &n, Some(&mask), &cfg);
         assert_eq!(got, brute_best::<2>(&t, &n, Some(&mask)));
     }
 
@@ -1582,11 +1273,11 @@ mod tests {
         let (t, n) = lcg_matrices(10, 64, 32, 8);
         let total = binomial(10, 3);
         let mut full = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-        let whole = full.scan(total);
+        let whole = scan_best(&mut full, total);
         let mut a = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-        let first = a.scan(total / 2);
+        let first = scan_best(&mut a, total / 2);
         let mut b = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, total / 2);
-        let second = b.scan(total - total / 2);
+        let second = scan_best(&mut b, total - total / 2);
         assert_eq!(first.max_det(second), whole);
     }
 
@@ -1601,14 +1292,14 @@ mod tests {
             let mut dense = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
             let mut sparse =
                 ComboScanner::<3>::with_skip(&t, &n, None, Alpha::PAPER, 0, (&ts, &ns));
-            assert_eq!(sparse.scan(total), dense.scan(total));
+            assert_eq!(scan_best(&mut sparse, total), scan_best(&mut dense, total));
             // Under a mask too.
             let mut mask = t.full_mask();
             mask[0] &= 0x0f0f_0f0f_0f0f_0f0f;
             let mut dense = ComboScanner::<3>::new(&t, &n, Some(&mask), Alpha::PAPER, 0);
             let mut sparse =
                 ComboScanner::<3>::with_skip(&t, &n, Some(&mask), Alpha::PAPER, 0, (&ts, &ns));
-            assert_eq!(sparse.scan(total), dense.scan(total));
+            assert_eq!(scan_best(&mut sparse, total), scan_best(&mut dense, total));
         }
     }
 
@@ -1641,7 +1332,7 @@ mod tests {
             sparse: SparseMode::Auto,
             ..base
         };
-        let (_, stats) = best_combination_stats::<3>(&st, &sn, None, &auto);
+        let (_, stats) = argmax_stats::<3>(&st, &sn, None, &auto);
         assert!(stats.words_skipped > 0, "stats: {stats:?}");
     }
 
@@ -1659,8 +1350,8 @@ mod tests {
                 prune: true,
                 ..GreedyConfig::default()
             };
-            let (want, base) = best_combination_stats::<3>(&t, &n, None, &unpruned);
-            let (got, st) = best_combination_stats::<3>(&t, &n, None, &pruned);
+            let (want, base) = argmax_stats::<3>(&t, &n, None, &unpruned);
+            let (got, st) = argmax_stats::<3>(&t, &n, None, &pruned);
             assert_eq!(got, want);
             // Pruning must account for every enumerated combination exactly.
             assert_eq!(st.scored + st.pruned_combos, base.scored);
@@ -1683,8 +1374,8 @@ mod tests {
             ..GreedyConfig::default()
         };
         assert_eq!(
-            best_combination::<3>(&t, &n, Some(&mask), &pruned),
-            best_combination::<3>(&t, &n, Some(&mask), &unpruned)
+            argmax::<3>(&t, &n, Some(&mask), &pruned),
+            argmax::<3>(&t, &n, Some(&mask), &unpruned)
         );
     }
 
@@ -1705,8 +1396,8 @@ mod tests {
             prune: true,
             ..GreedyConfig::default()
         };
-        let want = best_combination::<3>(&t, &n, None, &unpruned);
-        let (got, st) = best_combination_stats::<3>(&t, &n, None, &pruned);
+        let want = argmax::<3>(&t, &n, None, &unpruned);
+        let (got, st) = argmax_stats::<3>(&t, &n, None, &pruned);
         assert_eq!(got, want);
         assert_eq!(got.genes, [0, 1, 2]);
         assert_eq!(st.scored, 1, "everything after the first combo prunes");
@@ -1714,20 +1405,23 @@ mod tests {
 
     #[test]
     fn pruned_scan_range_splits_compose() {
-        // scan_pruned over [0, k) and [k, total) with threaded seed must
-        // equal one scan over [0, total): the block-queue contract.
+        // Pruned scans over [0, k) and [k, total) with the collector
+        // threaded through must equal one scan over [0, total): the
+        // block-queue contract.
         let (t, n) = lcg_matrices(11, 80, 40, 23);
         let total = binomial(11, 3);
-        let mut stats = ScanStats::default();
         let mut whole = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-        let want = whole.scan_pruned(total, Scored::NEG_INFINITY, None, &mut stats);
+        let mut want = TopK::new(1);
+        whole.scan(total, &mut want, true, None, &mut ScanStats::default());
+        let want = want.into_sorted();
         for k in [1, 7, total / 3, total / 2, total - 1] {
             let mut st = ScanStats::default();
+            let mut acc = TopK::new(1);
             let mut a = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-            let first = a.scan_pruned(k, Scored::NEG_INFINITY, None, &mut st);
+            a.scan(k, &mut acc, true, None, &mut st);
             let mut b = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, k);
-            let got = b.scan_pruned(total - k, first, None, &mut st);
-            assert_eq!(got, want, "split at {k}");
+            b.scan(total - k, &mut acc, true, None, &mut st);
+            assert_eq!(acc.into_sorted(), want, "split at {k}");
             assert_eq!(st.scored + st.pruned_combos, total);
         }
     }
@@ -1745,9 +1439,9 @@ mod tests {
             prune: true,
             ..GreedyConfig::default()
         };
-        let want = best_combination::<3>(&t, &n, None, &reference);
+        let want = argmax::<3>(&t, &n, None, &reference);
         for _ in 0..3 {
-            assert_eq!(best_combination::<3>(&t, &n, None, &accelerated), want);
+            assert_eq!(argmax::<3>(&t, &n, None, &accelerated), want);
         }
     }
 
@@ -1889,9 +1583,8 @@ mod tests {
                 frontier_k: k,
                 ..GreedyConfig::default()
             };
-            let (want, _) = best_combination_stats::<3>(&t, &n, None, &cfg);
-            let (got, st, fr) = best_combination_frontier::<3>(&t, &n, None, &cfg, 0);
-            assert_eq!(got, want, "k={k}");
+            let (want, _) = argmax_stats::<3>(&t, &n, None, &cfg);
+            let (fr, st) = best_combination::<3>(&t, &n, None, &cfg, k, 0);
             assert_eq!(fr.best(), want, "k={k}");
             // The pruned top-K scan must still account for every combination.
             let total = binomial(12, 3);
@@ -1918,10 +1611,10 @@ mod tests {
                 frontier_k: k,
                 ..GreedyConfig::default()
             };
-            let (wb, _, wf) = best_combination_frontier::<3>(&t, &n, None, &seq, 0);
+            let (wf, _) = best_combination::<3>(&t, &n, None, &seq, k, 0);
             for _ in 0..2 {
-                let (gb, _, gf) = best_combination_frontier::<3>(&t, &n, None, &par, 0);
-                assert_eq!(gb, wb, "k={k}");
+                let (gf, _) = best_combination::<3>(&t, &n, None, &par, k, 0);
+                assert_eq!(gf.best(), wf.best(), "k={k}");
                 assert_eq!(gf.entries(), wf.entries(), "k={k}");
                 assert_eq!(gf.floor(), wf.floor(), "k={k}");
             }
@@ -1935,19 +1628,19 @@ mod tests {
             parallel: false,
             ..GreedyConfig::default()
         };
-        let (want, _) = best_combination_stats::<3>(&t, &n, None, &cfg);
+        let (want, _) = argmax_stats::<3>(&t, &n, None, &cfg);
         // Any achieved score is a sound seed, including the argmax's own.
         let weaker = score_combo(&t, &n, &[0, 1, 2], Alpha::PAPER);
         for seed in [0, weaker.score, want.score] {
-            let (got, _) = best_combination_seeded::<3>(&t, &n, None, &cfg, seed);
-            assert_eq!(got, want, "seed={seed}");
+            let (got, _) = best_combination::<3>(&t, &n, None, &cfg, 1, seed);
+            assert_eq!(got.best(), want, "seed={seed}");
         }
         let par = GreedyConfig {
             parallel: true,
             ..GreedyConfig::default()
         };
-        let (got, _) = best_combination_seeded::<3>(&t, &n, None, &par, want.score);
-        assert_eq!(got, want);
+        let (got, _) = best_combination::<3>(&t, &n, None, &par, 1, want.score);
+        assert_eq!(got.best(), want);
     }
 
     #[test]
@@ -2035,6 +1728,17 @@ mod tests {
             .collect();
         assert_eq!(hit_iters.len() as u64, iters - 1);
         assert!(hit_iters.iter().all(|&s| s == 0), "hits must not scan");
+        // Throughput counts evaluated combinations: a hit evaluates none.
+        let hit_rates: Vec<_> = obs
+            .events()
+            .iter()
+            .filter(|e| e.name == "greedy_iter" && e.u64("frontier_hit") == Some(1))
+            .map(|e| e.f64("combos_per_sec").unwrap())
+            .collect();
+        assert!(
+            hit_rates.iter().all(|&r| r == 0.0),
+            "hit rates: {hit_rates:?}"
+        );
     }
 
     #[test]
@@ -2059,31 +1763,40 @@ mod tests {
                 // Stepping reference.
                 let mut reference = build(0);
                 reference.set_sweep_width(1);
-                let want = reference.scan(total);
+                let want = scan_best(&mut reference, total);
                 assert_eq!(reference.block_sweeps(), 0);
                 // Widths that do and do not divide typical run lengths.
                 for width in [2usize, 3, 5, kernel::SWEEP_BLOCK] {
                     let mut sc = build(0);
                     sc.set_sweep_width(width);
-                    assert_eq!(sc.scan(total), want, "width={width} sparse={sparse}");
+                    assert_eq!(
+                        scan_best(&mut sc, total),
+                        want,
+                        "width={width} sparse={sparse}"
+                    );
                     assert!(sc.block_sweeps() > 0, "sweep never engaged");
                     assert_eq!(sc.swept_rows(), total, "every combo swept");
                     // Pruned sweep: same winner, exact accounting.
                     let mut st = ScanStats::default();
                     let mut sc = build(0);
                     sc.set_sweep_width(width);
-                    let got = sc.scan_pruned(total, Scored::NEG_INFINITY, None, &mut st);
-                    assert_eq!(got, want, "pruned width={width} sparse={sparse}");
+                    let mut acc = TopK::new(1);
+                    sc.scan(total, &mut acc, true, None, &mut st);
+                    assert_eq!(
+                        acc.into_sorted(),
+                        [want],
+                        "pruned width={width} sparse={sparse}"
+                    );
                     assert_eq!(st.scored + st.pruned_combos, total);
                     assert_eq!(sc.swept_rows(), st.scored, "every scored combo swept");
                     // Mid-range start (scanner begins inside a run).
                     let k = total / 3 + 1;
                     let mut a = build(0);
                     a.set_sweep_width(width);
-                    let first = a.scan(k);
+                    let first = scan_best(&mut a, k);
                     let mut b = build(k);
                     b.set_sweep_width(width);
-                    let second = b.scan(total - k);
+                    let second = scan_best(&mut b, total - k);
                     assert_eq!(first.max_det(second), want, "split width={width}");
                 }
             }
@@ -2106,35 +1819,13 @@ mod tests {
         let total = binomial(10, 3);
         let mut step = ComboScanner::<3>::with_skip(&t, &n, None, Alpha::PAPER, 0, (&ts, &ns));
         step.set_sweep_width(1);
-        let want = step.scan(total);
+        let want = scan_best(&mut step, total);
         let mut swept = ComboScanner::<3>::with_skip(&t, &n, None, Alpha::PAPER, 0, (&ts, &ns));
         swept.set_sweep_width(kernel::SWEEP_BLOCK);
-        assert_eq!(swept.scan(total), want);
+        assert_eq!(scan_best(&mut swept, total), want);
         // Same per-combo accounting: every level-0 candidate charges the full
         // dense width minus the level-1 support, in both modes.
         assert_eq!(swept.words_skipped(), step.words_skipped());
-    }
-
-    #[test]
-    fn block_sweep_topk_matches_stepping() {
-        let (t, n) = lcg_matrices(12, 110, 55, 71);
-        let total = binomial(12, 3);
-        for k in [1usize, 8, 64] {
-            for prune in [false, true] {
-                let mut want = TopK::new(k);
-                let mut st = ScanStats::default();
-                let mut sc = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-                sc.set_sweep_width(1);
-                sc.scan_topk(total, &mut want, prune, None, &mut st);
-                let mut got = TopK::new(k);
-                let mut st2 = ScanStats::default();
-                let mut sc = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-                sc.set_sweep_width(kernel::SWEEP_BLOCK);
-                sc.scan_topk(total, &mut got, prune, None, &mut st2);
-                assert_eq!(got.into_sorted(), want.into_sorted(), "k={k} prune={prune}");
-                assert_eq!(st2.scored + st2.pruned_combos, total);
-            }
-        }
     }
 
     #[test]
@@ -2177,13 +1868,16 @@ mod tests {
         let total = binomial(12, 3);
         let k = total / 2;
         let mut reused = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-        let _ = reused.scan(k);
+        let _ = scan_best(&mut reused, k);
         let bufs_before: Vec<*const u64> = reused.partial_t.iter().map(|b| b.as_ptr()).collect();
         reused.reseek(k);
         let bufs_after: Vec<*const u64> = reused.partial_t.iter().map(|b| b.as_ptr()).collect();
         assert_eq!(bufs_before, bufs_after, "reseek must not re-allocate");
         let mut fresh = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, k);
-        assert_eq!(reused.scan(total - k), fresh.scan(total - k));
+        assert_eq!(
+            scan_best(&mut reused, total - k),
+            scan_best(&mut fresh, total - k)
+        );
     }
 
     #[test]
@@ -2198,7 +1892,7 @@ mod tests {
         let workers = par::default_workers()
             .min(usize::try_from(total.div_ceil(par::DEFAULT_MIN_GRAIN)).unwrap())
             .max(1);
-        let (_, st) = best_combination_stats::<3>(&t, &n, None, &cfg);
+        let (_, st) = argmax_stats::<3>(&t, &n, None, &cfg);
         assert!(st.blocks >= 1);
         assert!(st.scanner_builds >= 1);
         assert!(

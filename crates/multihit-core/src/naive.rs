@@ -183,11 +183,11 @@ mod tests {
         };
         assert_eq!(
             best_combination_naive::<3>(&dt, &dn, Alpha::PAPER),
-            best_combination::<3>(&bt, &bn, None, &cfg)
+            best_combination::<3>(&bt, &bn, None, &cfg, 1, 0).0.best()
         );
         assert_eq!(
             best_combination_naive::<2>(&dt, &dn, Alpha::PAPER),
-            best_combination::<2>(&bt, &bn, None, &cfg)
+            best_combination::<2>(&bt, &bn, None, &cfg, 1, 0).0.best()
         );
     }
 

@@ -725,9 +725,11 @@ pub struct GreedyIterReport {
     pub iter: u64,
     /// Wall time of the argmax scan, nanoseconds.
     pub scan_ns: u64,
-    /// Combinations scored by the scan.
+    /// Combinations in the iteration's search space, `C(G,H)` (the
+    /// logical count; see `scan_scored` for the evaluated ones).
     pub combos_scored: u64,
-    /// Scan throughput, combinations per second.
+    /// Scan throughput: combinations evaluated (`scan_scored`) per second
+    /// of `scan_ns`; 0 on frontier hits, which evaluate none.
     pub combos_per_sec: f64,
     /// Tumor samples newly covered.
     pub newly_covered: u64,
@@ -752,7 +754,7 @@ pub struct GreedyIterReport {
     /// All-zero words the sparse scan skipped (0 on dense scans and on
     /// streams from older versions).
     pub words_skipped: u64,
-    /// Level-0 block-kernel invocations (0 with `--no-block-sweep` and on
+    /// Level-0 block-kernel invocations (0 with block sweep off and on
     /// streams from older versions).
     pub block_sweeps: u64,
     /// Candidate rows scored through the block kernels.
@@ -1232,7 +1234,7 @@ impl RunReport {
     }
 
     /// Mean rows per block-kernel invocation (0.0 when sweeping never ran,
-    /// e.g. `--no-block-sweep` or streams from older versions).
+    /// e.g. block sweep off or streams from older versions).
     #[must_use]
     pub fn mean_rows_per_sweep(&self) -> f64 {
         finite_or_zero(self.total_swept_rows() as f64 / self.total_block_sweeps() as f64)
@@ -1533,7 +1535,7 @@ mod tests {
     #[test]
     fn rows_per_sweep_is_zero_without_sweeps() {
         // Streams from builds before block sweeping (or runs with
-        // --no-block-sweep) have no sweep fields; the ratio must stay 0.0,
+        // block sweep off) have no sweep fields; the ratio must stay 0.0,
         // not NaN.
         let obs = Obs::enabled();
         obs.point(

@@ -5,17 +5,34 @@ use multihit_core::bitmat::{BitMatrix, SkipIndex};
 use multihit_core::combin::{
     binomial, rank_pair, rank_triple, rank_tuple, tri, unrank_pair, unrank_triple, unrank_tuple,
 };
+use multihit_core::frontier::TopK;
 use multihit_core::greedy::{
-    best_combination, best_combination_stats, discover, ComboScanner, Exclusion, GreedyConfig,
-    ScanStats, SparseMode,
+    best_combination, discover, ComboScanner, Exclusion, GreedyConfig, ScanStats, SparseMode,
 };
 use multihit_core::kernel;
 use multihit_core::kernelize::kernelize;
-use multihit_core::reduce::{block_reduce, gpu_reduce, tree_reduce};
+use multihit_core::reduce::{block_reduce, gpu_reduce, top_k, tree_reduce};
 use multihit_core::schemes::Scheme4;
 use multihit_core::sweep::{levels_scheme4, total_area};
 use multihit_core::weight::{score_combo, Alpha, Scored};
 use proptest::prelude::*;
+
+/// The argmax through the one scan entry point (K = 1, unseeded).
+fn argmax<const H: usize>(
+    t: &BitMatrix,
+    n: &BitMatrix,
+    mask: Option<&[u64]>,
+    cfg: &GreedyConfig,
+) -> Scored<H> {
+    best_combination::<H>(t, n, mask, cfg, 1, 0).0.best()
+}
+
+/// Exhaustive (unpruned) argmax of the scanner's next `count` combinations.
+fn scan_best<const H: usize>(sc: &mut ComboScanner<'_, H>, count: u64) -> Scored<H> {
+    let mut acc = TopK::new(1);
+    sc.scan(count, &mut acc, false, None, &mut ScanStats::default());
+    acc.into_sorted()[0]
+}
 
 proptest! {
     #[test]
@@ -130,7 +147,7 @@ proptest! {
             expect = expect.max_det(score_combo(&t, &n, &genes, Alpha::PAPER));
         }
         let cfg = GreedyConfig { parallel: false, ..GreedyConfig::default() };
-        prop_assert_eq!(best_combination::<3>(&t, &n, None, &cfg), expect);
+        prop_assert_eq!(argmax::<3>(&t, &n, None, &cfg), expect);
     }
 
     #[test]
@@ -141,14 +158,14 @@ proptest! {
         prop_assume!(g >= 3);
         let total = binomial(g, 3);
         let mut whole = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, 0);
-        let expect = whole.scan(total);
+        let expect = scan_best(&mut whole, total);
         let chunk = total.div_ceil(splits as u64);
         let mut best = Scored::NEG_INFINITY;
         let mut start = 0u64;
         while start < total {
             let count = chunk.min(total - start);
             let mut sc = ComboScanner::<3>::new(&t, &n, None, Alpha::PAPER, start);
-            best = best.max_det(sc.scan(count));
+            best = best.max_det(scan_best(&mut sc, count));
             start += count;
         }
         prop_assert_eq!(best, expect);
@@ -230,10 +247,11 @@ proptest! {
             None
         };
         let reference = GreedyConfig { parallel: false, prune: false, ..GreedyConfig::default() };
-        let want = best_combination::<3>(&t, &n, mask, &reference);
+        let want = argmax::<3>(&t, &n, mask, &reference);
         for parallel in [false, true] {
             let cfg = GreedyConfig { parallel, prune: true, ..GreedyConfig::default() };
-            let (got, stats) = best_combination_stats::<3>(&t, &n, mask, &cfg);
+            let (got, stats) = best_combination::<3>(&t, &n, mask, &cfg, 1, 0);
+            let got = got.best();
             prop_assert_eq!(got, want);
             prop_assert_eq!(stats.scored + stats.pruned_combos, binomial(t.n_genes() as u64, 3));
         }
@@ -415,7 +433,7 @@ proptest! {
         } else {
             None
         };
-        let reference = best_combination::<3>(
+        let reference = argmax::<3>(
             &t,
             &n,
             mask,
@@ -423,16 +441,18 @@ proptest! {
         );
         for parallel in [false, true] {
             let cfg = GreedyConfig { parallel, sparse: SparseMode::On, ..GreedyConfig::default() };
-            prop_assert_eq!(best_combination::<3>(&t, &n, mask, &cfg), reference);
+            prop_assert_eq!(argmax::<3>(&t, &n, mask, &cfg), reference);
         }
     }
 }
 
-/// Block-sweep vs single-step equivalence for one hit count: the level-0
-/// sweep through the batch kernels must return the exact stepping result
-/// (same score, same colex winner) for plain and pruned scans, dense and
-/// sparse, at every sweep width — including widths that do not divide the
-/// level-0 run length.
+/// The one scan loop against an independent oracle for one hit count:
+/// [`top_k`] over brute-force [`score_combo`] of every λ (the mask applied
+/// by splicing the inactive tumor columns away). Every sweep width — 1 is
+/// the stepping path, the others include widths that do not divide the
+/// level-0 run length — must return the oracle's exact top-K, for K of 1
+/// (the argmax) and 8, pruned and unpruned, dense and sparse, and account
+/// for every combination as scored or pruned.
 fn check_block_sweep<const H: usize>(
     t: &BitMatrix,
     n: &BitMatrix,
@@ -442,47 +462,48 @@ fn check_block_sweep<const H: usize>(
 ) -> Result<(), String> {
     let g = t.n_genes() as u64;
     let total = binomial(g, H as u64);
+    let oracle_t = mask.map_or_else(|| t.clone(), |m| t.splice_columns(m));
+    let all: Vec<Scored<H>> = (0..total)
+        .map(|l| score_combo(&oracle_t, n, &unrank_tuple::<H>(l), Alpha::PAPER))
+        .collect();
     let skip_t = SkipIndex::build(t);
     let skip_n = SkipIndex::build(n);
-    let make = |start: u64| {
-        if sparse {
+    let make = |start: u64, width: usize| {
+        let mut sc = if sparse {
             ComboScanner::<H>::with_skip(t, n, mask, Alpha::PAPER, start, (&skip_t, &skip_n))
         } else {
             ComboScanner::<H>::new(t, n, mask, Alpha::PAPER, start)
-        }
+        };
+        sc.set_sweep_width(width);
+        sc
     };
-    let mut reference = make(0);
-    reference.set_sweep_width(1);
-    let want = reference.scan(total);
-    for &width in widths {
-        let mut sc = make(0);
-        sc.set_sweep_width(width);
-        prop_assert_eq!(sc.scan(total), want);
-        if width > 1 {
-            prop_assert!(
-                sc.block_sweeps() > 0,
-                "sweep never engaged at width {}",
-                width
-            );
-        }
-        // Pruned sweep: identical winner, and every combination accounted
-        // for as either scored or pruned.
-        let mut st = ScanStats::default();
-        let mut sc = make(0);
-        sc.set_sweep_width(width);
-        let got = sc.scan_pruned(total, Scored::NEG_INFINITY, None, &mut st);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(st.scored + st.pruned_combos, total);
-        // Split scan at a boundary the width does not divide: chunked
-        // sweeps must still fold to the stepping result. (Skipped when the
-        // space has a single combination — there is nothing to split.)
-        if total >= 2 {
-            let cut = (total / 2).max(1);
-            let mut lo = make(0);
-            lo.set_sweep_width(width);
-            let mut hi = make(cut);
-            hi.set_sweep_width(width);
-            prop_assert_eq!(lo.scan(cut).max_det(hi.scan(total - cut)), want);
+    for k in [1usize, 8] {
+        let want = top_k(&all, k);
+        for prune in [false, true] {
+            for &width in std::iter::once(&1).chain(widths) {
+                let mut st = ScanStats::default();
+                let mut acc = TopK::new(k);
+                let mut sc = make(0, width);
+                sc.scan(total, &mut acc, prune, None, &mut st);
+                prop_assert_eq!(acc.into_sorted(), want.clone());
+                prop_assert_eq!(st.scored + st.pruned_combos, total);
+                if !prune {
+                    prop_assert_eq!(st.scored, total);
+                    prop_assert_eq!(sc.block_sweeps() > 0, H >= 2 && width > 1);
+                }
+                // Split scan at a boundary the width does not divide, the
+                // collector threaded through both halves. (Skipped when the
+                // space has a single combination — nothing to split.)
+                if total >= 2 {
+                    let cut = (total / 2).max(1);
+                    let mut st = ScanStats::default();
+                    let mut acc = TopK::new(k);
+                    make(0, width).scan(cut, &mut acc, prune, None, &mut st);
+                    make(cut, width).scan(total - cut, &mut acc, prune, None, &mut st);
+                    prop_assert_eq!(acc.into_sorted(), want.clone());
+                    prop_assert_eq!(st.scored + st.pruned_combos, total);
+                }
+            }
         }
     }
     Ok(())

@@ -5,9 +5,9 @@
 //!                   [--hits H] [--seed S]
 //! multihit discover --tumor T.maf --normal N.maf --hits H [--out R.tsv]
 //!                   [--publish HOST:PORT] [--max-combos N]
-//!                   [--cohort LABEL] [--no-prune]
-//!                   [--no-kernelize] [--no-block-sweep] [--sparse auto|on|off]
-//!                   [--scan auto|scalar] [--metrics-out M.jsonl] [--trace]
+//!                   [--cohort LABEL] [--no-kernelize] [--sparse auto|on|off]
+//!                   [--frontier-k K] [--no-frontier]
+//!                   [--metrics-out M.jsonl] [--trace]
 //! multihit classify --results R.tsv --tumor T.maf --normal N.maf
 //! multihit cluster  [--dataset brca|acc] [--nodes N] [--scheduler ea|ed|ec]
 //!                   [--mtbf S] [--ckpt-write S] [--recovery-time S]
@@ -104,6 +104,21 @@ fn required(args: &[String], name: &str) -> Result<String, String> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Reject any argument outside `valued` (each followed by its value) and
+/// `switches`, so a retired or misspelt flag fails instead of silently
+/// running the default path.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if valued.contains(&a.as_str()) {
+            rest.next();
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown argument {a}"));
+        }
+    }
+    Ok(())
 }
 
 /// Build the run's observability handle from `--metrics-out` / `--trace`.
@@ -309,6 +324,22 @@ fn run_discovery(
 }
 
 fn cmd_discover(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            "--tumor",
+            "--normal",
+            "--hits",
+            "--max-combos",
+            "--cohort",
+            "--out",
+            "--publish",
+            "--frontier-k",
+            "--sparse",
+            "--metrics-out",
+        ],
+        &["--no-frontier", "--no-kernelize", "--trace"],
+    )?;
     let tumor_path = required(args, "--tumor")?;
     let normal_path = required(args, "--normal")?;
     let hits: usize = parse_or(args, "--hits", 3usize)?;
@@ -316,7 +347,6 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     let cohort = arg_value(args, "--cohort").unwrap_or_else(|| "cohort".to_string());
     let out = arg_value(args, "--out");
 
-    let prune = !has_flag(args, "--no-prune");
     let frontier_k = if has_flag(args, "--no-frontier") {
         0
     } else {
@@ -326,13 +356,7 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
             multihit::core::frontier::DEFAULT_FRONTIER_K,
         )?
     };
-    match arg_value(args, "--scan").as_deref() {
-        None | Some("auto") => multihit::core::kernel::force_scalar(false),
-        Some("scalar") => multihit::core::kernel::force_scalar(true),
-        Some(other) => return Err(format!("unknown scan mode {other} (auto|scalar)")),
-    }
     let kernelize = !has_flag(args, "--no-kernelize");
-    let block_sweep = !has_flag(args, "--no-block-sweep");
     let sparse = match arg_value(args, "--sparse").as_deref() {
         None | Some("auto") => SparseMode::Auto,
         Some("on") => SparseMode::On,
@@ -342,10 +366,8 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
 
     let cfg = GreedyConfig {
         max_combinations: max,
-        prune,
         frontier_k,
         kernelize,
-        block_sweep,
         sparse,
         ..GreedyConfig::default()
     };
@@ -850,8 +872,7 @@ const USAGE: &str = "usage: multihit <synth|discover|classify|cluster|serve|load
            --hits H --penetrance P --noise-tumor X --noise-normal Y --seed S]
   discover --tumor T.maf --normal N.maf [--hits H --max-combos N
            --cohort LABEL --out R.tsv --publish HOST:PORT
-           --no-prune --scan auto|scalar
-           --no-kernelize --no-block-sweep --sparse auto|on|off
+           --no-kernelize --sparse auto|on|off
            --frontier-k K --no-frontier --metrics-out M.jsonl --trace]
   classify --results R.tsv --tumor T.maf --normal N.maf
   cluster  [--dataset brca|acc --nodes N --scheduler ea|ed|ec

@@ -127,6 +127,23 @@ fn missing_arguments_are_reported() {
 }
 
 #[test]
+fn discover_rejects_unknown_flags() {
+    // A retired scan-mode flag and a typo must both fail loudly, naming the
+    // flag, rather than silently running the default path.
+    for flag in ["--no-prune", "--no-kernalize"] {
+        let out = bin()
+            .args([
+                "discover", "--tumor", "t.maf", "--normal", "n.maf", "--hits", "2", flag,
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag} not named in: {err}");
+    }
+}
+
+#[test]
 fn loadgen_smoke_is_clean_and_writes_bench_json() {
     let dir = tempdir("loadgen");
     let bench = dir.join("BENCH_serve.json");
